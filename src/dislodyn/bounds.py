@@ -39,6 +39,7 @@ __all__ = [
     "fatal_force_bound",
     "boundary_scenario",
     "pair_scenario",
+    "scenario_report",
     "BoundReport",
     "verify_against_trajectory",
     "default_sigma",
@@ -340,6 +341,26 @@ def pair_scenario(n: int, diam: float, eta0: float, zeta0: float) -> BoundReport
         "pair",
         {"n": n, "diam": diam, "eta0": eta0, "zeta0": zeta0},
         constants, t_bound, window, lhs, rhs, verdict, violations)
+
+
+def scenario_report(spec: dict, n: int | None, diam: float) -> BoundReport:
+    """Report for a config's ``bounds`` spec.
+
+    ``n`` and ``diam`` stand in for the keys the spec leaves out; ``n=None``
+    takes the least count the scenario allows (1 for boundary, 2 for pair).
+    """
+    scenario = spec.get("scenario", "boundary")
+    if scenario == "boundary":
+        rho = spec.get("rho", 1.0)
+        sigma = spec.get("sigma")
+        if sigma is None:
+            sigma = default_sigma(spec["delta0"], rho)
+        return boundary_scenario(spec.get("n", 1 if n is None else n), rho,
+                                 sigma, spec["delta0"], spec["gamma0"])
+    if scenario == "pair":
+        return pair_scenario(spec.get("n", 2 if n is None else n),
+                             spec.get("diam", diam), spec["eta0"], spec["zeta0"])
+    raise ValueError(f"unknown bounds scenario {scenario!r}")
 
 
 @dataclass(frozen=True)

@@ -128,21 +128,8 @@ def cmd_kernel_probe(args) -> int:
 
 def cmd_bounds(args) -> int:
     cfg = load_config(args.config)
-    spec = cfg.get("bounds", {})
-    scenario = spec.get("scenario", "boundary")
-    if scenario == "boundary":
-        sigma = spec.get("sigma")
-        if sigma is None:
-            sigma = bounds_mod.default_sigma(spec["delta0"], spec.get("rho", 1.0))
-        report = bounds_mod.boundary_scenario(
-            spec.get("n", 1), spec.get("rho", 1.0), sigma,
-            spec["delta0"], spec["gamma0"])
-    elif scenario == "pair":
-        report = bounds_mod.pair_scenario(
-            spec.get("n", 2), spec.get("diam", math.inf),
-            spec["eta0"], spec["zeta0"])
-    else:
-        raise ValueError(f"unknown bounds scenario {scenario!r}")
+    report = bounds_mod.scenario_report(cfg.get("bounds", {}), n=None,
+                                        diam=math.inf)
     payload = report.to_dict()
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -138,6 +138,21 @@ class _StepBudgetExceeded(Exception):
     pass
 
 
+def _run_stats(nfev: int, n_samples: int) -> dict:
+    """Counts of one run; ``accepted_steps`` counts the steps the trajectory
+    keeps, which is none when the step budget runs out."""
+    stats = {
+        "nfev": int(nfev),
+        "n_samples": int(n_samples),
+        "accepted_steps": int(n_samples - 1),
+        # RK45 spends 6 evaluations per attempted step after the initial one
+        "attempted_steps_estimate": max(0, (int(nfev) - 1) // 6),
+    }
+    stats["rejected_steps_estimate"] = max(
+        0, stats["attempted_steps_estimate"] - stats["accepted_steps"])
+    return stats
+
+
 def integrate(config: Configuration, domain: Domain, kernels: KernelEvaluator,
               mobility: Callable[[np.ndarray], np.ndarray] = mobility_identity,
               params: IntegrationParams = IntegrationParams()) -> Trajectory:
@@ -202,19 +217,11 @@ def integrate(config: Configuration, domain: Domain, kernels: KernelEvaluator,
     except _StepBudgetExceeded:
         return Trajectory(np.array([0.0]), config.positions[None], burgers,
                           StepFailure("step budget exceeded"),
-                          {"nfev": budget["nfev"]}, eps)
+                          _run_stats(budget["nfev"], 1), eps)
 
     times = sol.t
     states = sol.y.T.reshape(-1, n, 2)
-    stats = {
-        "nfev": int(sol.nfev),
-        "n_samples": int(len(sol.t)),
-        "accepted_steps": int(len(sol.t) - 1),
-        # RK45 spends 6 evaluations per attempted step after the initial one
-        "attempted_steps_estimate": max(0, (int(sol.nfev) - 1) // 6),
-    }
-    stats["rejected_steps_estimate"] = max(
-        0, stats["attempted_steps_estimate"] - stats["accepted_steps"])
+    stats = _run_stats(sol.nfev, len(sol.t))
 
     if sol.status == 1:
         # earliest terminal event; scipy stops at the first in time but we

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import bounds as bounds_mod
 from .errors import RejectionOverflow
 from .geometry import (AxisAlignedPolygon, Configuration, Disk, Domain,
                        ExteriorDisk, HalfPlane, Plane, SmoothCurveDomain,
@@ -161,11 +162,16 @@ def build_configuration(cfg: dict, domain: Domain,
         positions = [d["position"] for d in cfg["dislocations"]]
         burgers = [d.get("burgers", 1) for d in cfg["dislocations"]]
         return Configuration.from_arrays(positions, burgers)
-    samp = cfg.get("sampling")
-    if not samp:
+    if not cfg.get("sampling"):
         raise ValueError("config needs either dislocations or sampling")
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.get("seed", 0), 0]))
+    return _sample(cfg["sampling"], domain, rng)
+
+
+def _sample(samp: dict, domain: Domain,
+            rng: np.random.Generator) -> Configuration:
+    """Draw the configuration a ``sampling`` spec describes."""
     return sample_class_D(rng, domain, samp.get("n", 2), samp["delta0"],
                           samp["gamma0"],
                           burgers_first=samp.get("burgers_first", 1),
@@ -304,23 +310,13 @@ def run_simulation(cfg: dict, out_dir: str | None = None):
     params = build_params(cfg["integration"])
     rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], 0]))
     config = build_configuration(cfg, domain, rng)
+    report = None
+    if cfg.get("bounds"):
+        report = bounds_mod.scenario_report(cfg["bounds"], n=config.n,
+                                            diam=domain.diameter)
     traj = integrate(config, domain, kernels, mobility, params)
     side = trajectory_sidecar(traj, params, seed=cfg["seed"])
-    if cfg.get("bounds"):
-        from . import bounds as bounds_mod
-        spec = cfg["bounds"]
-        if spec.get("scenario", "boundary") == "boundary":
-            sigma = spec.get("sigma")
-            if sigma is None:
-                sigma = bounds_mod.default_sigma(spec["delta0"],
-                                                 spec.get("rho", 1.0))
-            report = bounds_mod.boundary_scenario(
-                spec.get("n", config.n), spec.get("rho", 1.0), sigma,
-                spec["delta0"], spec["gamma0"])
-        else:
-            report = bounds_mod.pair_scenario(
-                spec.get("n", config.n), spec.get("diam", domain.diameter),
-                spec["eta0"], spec["zeta0"])
+    if report is not None:
         side["bound_report"] = report.to_dict()
         try:
             side["bound_check"] = bounds_mod.verify_against_trajectory(
@@ -395,11 +391,8 @@ def _ensemble_worker(args):
     params = build_params(cfg["integration"])
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg["seed"], run_index]))
-    samp = cfg["sampling"]
-    config = sample_class_D(rng, domain, samp.get("n", 2), samp["delta0"],
-                            samp["gamma0"],
-                            burgers_first=samp.get("burgers_first", 1),
-                            burgers_rest=samp.get("burgers_rest", "random"))
+    # every run samples, even when the config also lists dislocations
+    config = _sample(cfg["sampling"], domain, rng)
     traj = integrate(config, domain, kernels, mobility, params)
     term = _termination_dict(traj.termination)
     return {

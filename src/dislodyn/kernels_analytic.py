@@ -1,18 +1,23 @@
-"""Closed-form interaction kernels for the disk, its exterior, the half
-plane and the whole plane.
+"""The kernel interface and its closed forms for the disk, its exterior, the
+half plane and the whole plane.
 
-Every evaluator exposes the Dirichlet Green's function G(x, y), its regular
-part k(x, y) = G(x, y) + log|x - y| / (2*pi), the self-interaction potential
-h(x) = k(x, x) and the gradients of all three.  Gradients are
+Every domain's Green's function splits as
+
+    G(x, y) = -log|x - y| / (2*pi) + k(x, y),    h(x) = k(x, x),
+
+so a backend supplies only the regular part k, its x-gradient, the
+self-interaction potential h and its gradient; ``KernelEvaluator`` builds G
+and grad_x G from them once for every backend.  Gradients are
 hand-differentiated closed forms; the finite-difference consistency checks
 live in the test suite.
 
-For the disk of radius rho centred at the origin the symmetric form
+For a disk of radius rho centred at the origin the symmetric form
 
     k(x, y) = log(Q / rho^2) / (4*pi),   Q = rho^4 - 2 rho^2 x.y + |x|^2 |y|^2
 
-is used; it is smooth through x = 0 (no explicit reflection point) and the
-same expression serves the exterior domain.  On the whole plane k and h
+is used; it is smooth through x = 0 (no explicit reflection point), and
+one body serves the interior and the exterior, which differ only in the
+side test and the sign of rho^2 - |x|^2 in h.  On the whole plane k and h
 vanish by convention, so the pair energy reduces to the bare logarithm.
 """
 
@@ -32,12 +37,6 @@ __all__ = [
     "HalfPlaneKernels",
     "PlaneKernels",
     "analytic_kernels",
-    "green_disk",
-    "kernels_exterior_disk",
-    "kernels_halfplane",
-    "kernels_plane",
-    "h_disk",
-    "grad_h_disk",
 ]
 
 COINCIDENCE_TOL = 1e-14
@@ -48,11 +47,19 @@ def _vec(x) -> np.ndarray:
     return np.asarray(x, dtype=float).reshape(2)
 
 
+def _point(p) -> str:
+    # cheap to format: the dynamics raises and discards these on every
+    # trial stage that leaves the domain
+    return f"({float(p[0])!r}, {float(p[1])!r})"
+
+
 class KernelEvaluator:
     """Uniform kernel interface consumed by mechanics and dynamics.
 
-    ``min_eval_distance`` is the boundary margin below which evaluations are
-    only best-effort (zero for analytic backends).
+    Backends implement ``k``, ``grad_x_k``, ``h`` and ``grad_h``; G and its
+    gradients follow from them.  ``min_eval_distance`` is the boundary
+    margin below which evaluations are only best-effort (zero for analytic
+    backends).
     """
 
     backend = "analytic"
@@ -61,10 +68,16 @@ class KernelEvaluator:
     domain: Domain
 
     def G(self, x, y) -> float:
-        raise NotImplementedError
+        p, v = _vec(x), _vec(y)
+        self._check_distinct(p, v)
+        return -math.log(math.hypot(p[0] - v[0], p[1] - v[1])) / _TWO_PI \
+            + self.k(p, v)
 
     def grad_x_G(self, x, y) -> np.ndarray:
-        raise NotImplementedError
+        p, v = _vec(x), _vec(y)
+        self._check_distinct(p, v)
+        w = p - v
+        return -w / (_TWO_PI * float(w @ w)) + self.grad_x_k(p, v)
 
     def grad_y_G(self, x, y) -> np.ndarray:
         # G is symmetric, so the y-gradient is the x-gradient with arguments swapped
@@ -84,21 +97,28 @@ class KernelEvaluator:
 
     def _check_distinct(self, x, y):
         if math.hypot(x[0] - y[0], x[1] - y[1]) < COINCIDENCE_TOL:
-            raise CoincidentPoints(f"points {x} and {y} coincide")
+            raise CoincidentPoints(f"points {_point(x)} and {_point(y)} coincide")
 
 
 class DiskKernels(KernelEvaluator):
     """Interior of a disk of radius rho (method of images)."""
 
-    def __init__(self, domain: Disk):
+    # sign of rho^2 - |x - center|^2 on the domain's side, and the error
+    # raised for a point on the other side
+    _side = 1.0
+    _off_side = PointOutside
+
+    def __init__(self, domain: Disk | ExteriorDisk):
         self.domain = domain
         self.rho = float(domain.radius)
         self.center = np.asarray(domain.center, dtype=float)
 
     def _local(self, x) -> np.ndarray:
-        u = _vec(x) - self.center
-        if math.hypot(u[0], u[1]) >= self.rho:
-            raise PointOutside(f"{x} is not inside the disk")
+        p = _vec(x)
+        u = p - self.center
+        if self._side * (self.rho - math.hypot(u[0], u[1])) <= 0.0:
+            side = "inside" if self._side > 0 else "outside"
+            raise self._off_side(f"{_point(p)} is not {side} the disk")
         return u
 
     def _Q(self, u, v) -> float:
@@ -109,76 +129,24 @@ class DiskKernels(KernelEvaluator):
         u, v = self._local(x), self._local(y)
         return math.log(self._Q(u, v) / self.rho**2) / (2.0 * _TWO_PI)
 
-    def G(self, x, y) -> float:
-        u, v = self._local(x), self._local(y)
-        self._check_distinct(u, v)
-        d2 = float((u - v) @ (u - v))
-        return (math.log(self._Q(u, v) / self.rho**2) / 2.0 - math.log(d2) / 2.0) / _TWO_PI
-
     def grad_x_k(self, x, y) -> np.ndarray:
         u, v = self._local(x), self._local(y)
         return (u * float(v @ v) - self.rho**2 * v) / (_TWO_PI * self._Q(u, v))
 
-    def grad_x_G(self, x, y) -> np.ndarray:
-        u, v = self._local(x), self._local(y)
-        self._check_distinct(u, v)
-        w = u - v
-        return -w / (_TWO_PI * float(w @ w)) + self.grad_x_k(x, y)
-
     def h(self, x) -> float:
         u = self._local(x)
-        return math.log((self.rho**2 - float(u @ u)) / self.rho) / _TWO_PI
+        return math.log(self._side * (self.rho**2 - float(u @ u)) / self.rho) / _TWO_PI
 
     def grad_h(self, x) -> np.ndarray:
         u = self._local(x)
         return -u / (math.pi * (self.rho**2 - float(u @ u)))
 
 
-class ExteriorDiskKernels(KernelEvaluator):
-    """Exterior of a disk of radius rho (double circular reflection)."""
+class ExteriorDiskKernels(DiskKernels):
+    """Exterior of a disk of radius rho: the disk's k, seen from outside."""
 
-    def __init__(self, domain: ExteriorDisk):
-        self.domain = domain
-        self.rho = float(domain.radius)
-        self.center = np.asarray(domain.center, dtype=float)
-
-    def _local(self, x) -> np.ndarray:
-        u = _vec(x) - self.center
-        if math.hypot(u[0], u[1]) <= self.rho:
-            raise PointInsideDisk(f"{x} is not outside the disk")
-        return u
-
-    def _Q(self, u, v) -> float:
-        r2 = self.rho * self.rho
-        return float(u @ u) * float(v @ v) - 2.0 * r2 * float(u @ v) + r2 * r2
-
-    def k(self, x, y) -> float:
-        u, v = self._local(x), self._local(y)
-        return math.log(self._Q(u, v) / self.rho**2) / (2.0 * _TWO_PI)
-
-    def G(self, x, y) -> float:
-        u, v = self._local(x), self._local(y)
-        self._check_distinct(u, v)
-        d2 = float((u - v) @ (u - v))
-        return (math.log(self._Q(u, v) / self.rho**2) / 2.0 - math.log(d2) / 2.0) / _TWO_PI
-
-    def grad_x_k(self, x, y) -> np.ndarray:
-        u, v = self._local(x), self._local(y)
-        return (u * float(v @ v) - self.rho**2 * v) / (_TWO_PI * self._Q(u, v))
-
-    def grad_x_G(self, x, y) -> np.ndarray:
-        u, v = self._local(x), self._local(y)
-        self._check_distinct(u, v)
-        w = u - v
-        return -w / (_TWO_PI * float(w @ w)) + self.grad_x_k(x, y)
-
-    def h(self, x) -> float:
-        u = self._local(x)
-        return math.log((float(u @ u) - self.rho**2) / self.rho) / _TWO_PI
-
-    def grad_h(self, x) -> np.ndarray:
-        u = self._local(x)
-        return u / (math.pi * (float(u @ u) - self.rho**2))
+    _side = -1.0
+    _off_side = PointInsideDisk
 
 
 class HalfPlaneKernels(KernelEvaluator):
@@ -190,9 +158,10 @@ class HalfPlaneKernels(KernelEvaluator):
         self.offset = float(domain.offset)
 
     def _depth(self, x) -> float:
-        d = self.offset - float(_vec(x) @ self.nu)
+        p = _vec(x)
+        d = self.offset - float(p @ self.nu)
         if d <= 0:
-            raise PointOutside(f"{x} is not inside the half plane")
+            raise PointOutside(f"{_point(p)} is not inside the half plane")
         return d
 
     def _mirror(self, x) -> np.ndarray:
@@ -206,11 +175,6 @@ class HalfPlaneKernels(KernelEvaluator):
         v = _vec(y)
         return math.log(math.hypot(xb[0] - v[0], xb[1] - v[1])) / _TWO_PI
 
-    def G(self, x, y) -> float:
-        p, v = _vec(x), _vec(y)
-        self._check_distinct(p, v)
-        return -math.log(math.hypot(p[0] - v[0], p[1] - v[1])) / _TWO_PI + self.k(x, y)
-
     def grad_x_k(self, x, y) -> np.ndarray:
         self._depth(x)
         self._depth(y)
@@ -219,12 +183,6 @@ class HalfPlaneKernels(KernelEvaluator):
         # chain rule through the reflection x -> x - 2((x.nu)-off)nu
         refl = w - 2.0 * float(w @ self.nu) * self.nu
         return refl / (_TWO_PI * float(w @ w))
-
-    def grad_x_G(self, x, y) -> np.ndarray:
-        p, v = _vec(x), _vec(y)
-        self._check_distinct(p, v)
-        w = p - v
-        return -w / (_TWO_PI * float(w @ w)) + self.grad_x_k(x, y)
 
     def h(self, x) -> float:
         return math.log(2.0 * self._depth(x)) / _TWO_PI
@@ -242,19 +200,8 @@ class PlaneKernels(KernelEvaluator):
     def k(self, x, y) -> float:
         return 0.0
 
-    def G(self, x, y) -> float:
-        p, v = _vec(x), _vec(y)
-        self._check_distinct(p, v)
-        return -math.log(math.hypot(p[0] - v[0], p[1] - v[1])) / _TWO_PI
-
     def grad_x_k(self, x, y) -> np.ndarray:
         return np.zeros(2)
-
-    def grad_x_G(self, x, y) -> np.ndarray:
-        p, v = _vec(x), _vec(y)
-        self._check_distinct(p, v)
-        w = p - v
-        return -w / (_TWO_PI * float(w @ w))
 
     def h(self, x) -> float:
         return 0.0
@@ -274,37 +221,3 @@ def analytic_kernels(domain: Domain) -> KernelEvaluator:
     if isinstance(domain, Plane):
         return PlaneKernels(domain)
     raise ValueError(f"no closed-form kernels for {type(domain).__name__}")
-
-
-# Convenience functions mirroring the per-domain formulas directly.
-
-def green_disk(x, y, rho: float = 1.0) -> float:
-    """Green's function of the disk B_rho(0)."""
-    return DiskKernels(Disk(radius=rho)).G(x, y)
-
-
-def kernels_exterior_disk(x, y, rho: float = 1.0) -> tuple[float, float, float]:
-    """(G, k, h at x) for the exterior of B_rho(0)."""
-    ev = ExteriorDiskKernels(ExteriorDisk(radius=rho))
-    return ev.G(x, y), ev.k(x, y), ev.h(x)
-
-
-def kernels_halfplane(x, y) -> tuple[float, float, float, np.ndarray]:
-    """(G, k, h at x, grad h at x) for the upper half plane {y > 0}."""
-    ev = HalfPlaneKernels(HalfPlane.upper())
-    return ev.G(x, y), ev.k(x, y), ev.h(x), ev.grad_h(x)
-
-
-def kernels_plane(x, y) -> tuple[float, float, float]:
-    """(pairwise log interaction, k, h) on the whole plane."""
-    ev = PlaneKernels()
-    return ev.G(x, y), 0.0, 0.0
-
-
-def h_disk(x, rho: float = 1.0) -> float:
-    """Self-interaction potential of B_rho(0)."""
-    return DiskKernels(Disk(radius=rho)).h(x)
-
-
-def grad_h_disk(x, rho: float = 1.0) -> np.ndarray:
-    return DiskKernels(Disk(radius=rho)).grad_h(x)

@@ -26,6 +26,7 @@ keeps near-boundary evaluation usable).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -122,19 +123,6 @@ class _NumericBase(KernelEvaluator):
         # h'(x) = 2 grad_x k(x, y)|_{y=x} by symmetry of k
         x = np.asarray(x, float).reshape(2)
         return 2.0 * self.grad_x_k(x, x)
-
-    def G(self, x, y) -> float:
-        x = np.asarray(x, float).reshape(2)
-        y = np.asarray(y, float).reshape(2)
-        self._check_distinct(x, y)
-        return -math.log(math.hypot(*(x - y))) / _TWO_PI + self.k(x, y)
-
-    def grad_x_G(self, x, y) -> np.ndarray:
-        x = np.asarray(x, float).reshape(2)
-        y = np.asarray(y, float).reshape(2)
-        self._check_distinct(x, y)
-        w = x - y
-        return -w / (_TWO_PI * float(w @ w)) + self.grad_x_k(x, y)
 
     # hooks provided by the concrete backends
     def _density(self, y: np.ndarray):
@@ -376,16 +364,11 @@ def numeric_kernels(domain: Domain,
     raise ValueError(f"no numeric backend for {type(domain).__name__}")
 
 
-_EVALUATORS: dict = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _shared_evaluator(domain: Domain, cfg: NumericKernelConfig):
-    key = (id(domain), cfg)
-    ev = _EVALUATORS.get(key)
-    if ev is None:
-        ev = numeric_kernels(domain, cfg)
-        _EVALUATORS[key] = ev
-    return ev
+    # each evaluator holds a dense matrix, its factors and a solution cache
+    # (about 5 MB at 512 nodes), so only the most recent few are kept
+    return numeric_kernels(domain, cfg)
 
 
 def solve_k(domain: Domain, y, targets,

@@ -13,7 +13,8 @@ from dislodyn.dynamics import integrate
 from dislodyn.bounds import (boundary_scenario, c_sigma, default_sigma,
                              fatal_force_bound, grad_G_bounds,
                              grad_h_far_bound, grad_h_near_bound,
-                             pair_scenario, verify_against_trajectory)
+                             pair_scenario, scenario_report,
+                             verify_against_trajectory)
 
 TWO_PI = 2.0 * math.pi
 
@@ -320,6 +321,27 @@ class TestPairScenario:
     def test_invalid_zeta_reported(self):
         rep = pair_scenario(2, 4.0, 1.0, 0.5)
         assert rep.verdict == "not-applicable"
+
+
+class TestScenarioReport:
+    BOUNDARY = {"scenario": "boundary", "delta0": 0.1, "gamma0": 0.5}
+    PAIR = {"scenario": "pair", "eta0": 0.5, "zeta0": 0.05}
+
+    def test_least_count_without_n(self):
+        assert scenario_report(self.BOUNDARY, None, math.inf).inputs["n"] == 1
+        assert scenario_report(self.PAIR, None, math.inf).inputs["n"] == 2
+
+    def test_caller_defaults_fill_missing_keys(self):
+        b = scenario_report(self.BOUNDARY, 3, 2.0)
+        assert b == boundary_scenario(3, 1.0, default_sigma(0.1, 1.0), 0.1, 0.5)
+        p = scenario_report(self.PAIR, 3, 2.0)
+        assert p == pair_scenario(3, 2.0, 0.5, 0.05)
+        assert scenario_report(dict(self.PAIR, n=2, diam=4.0), 3,
+                               2.0) == pair_scenario(2, 4.0, 0.5, 0.05)
+
+    def test_unknown_scenario(self):
+        with pytest.raises(ValueError, match="unknown bounds scenario"):
+            scenario_report({"scenario": "typo"}, None, math.inf)
 
 
 class TestVerifyAgainstTrajectory:

@@ -80,6 +80,12 @@ class TestSimulate:
         assert side["bound_report"]["scenario"] == "boundary"
         assert side["bound_check"]["passed"] is True
 
+    def test_unknown_bounds_scenario_rejected(self):
+        cfg = dict(HALFPLANE_SIM, bounds={"scenario": "typo", "eta0": 0.5,
+                                          "zeta0": 0.05})
+        with pytest.raises(ValueError, match="unknown bounds scenario"):
+            run_simulation(cfg)
+
     def test_error_exit_code(self, tmp_path, capsys):
         cfgp = write_config(tmp_path, "bad.json", {
             "domain": {"kind": "nope"},
@@ -150,6 +156,19 @@ class TestEnsemble:
             summaries.append(json.dumps(payload, sort_keys=True))
         assert summaries[0] == summaries[1]
 
+    def test_step_budget_failures_recorded(self):
+        # runs that exhaust their step budget are recorded, not fatal
+        s = run_ensemble(dict(self.CFG, ensemble_size=4,
+                              integration={"max_steps": 5}))
+        assert [r["termination"]["kind"] for r in s.records] == ["failure"] * 4
+        assert all(r["n_samples"] == 1 for r in s.records)
+
+    def test_listed_dislocations_do_not_replace_sampling(self):
+        cfg = dict(self.CFG, ensemble_size=4)
+        listed = dict(cfg, dislocations=[{"position": [0.0, 0.0]}])
+        assert json.dumps(run_ensemble(cfg).records, sort_keys=True) == \
+            json.dumps(run_ensemble(listed).records, sort_keys=True)
+
     def test_rejection_overflow(self):
         from dislodyn.errors import RejectionOverflow
         from dislodyn.experiments import sample_class_D
@@ -203,6 +222,14 @@ class TestBoundsCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"] == "not-applicable"
         assert "delta0 >= gamma0/4" in payload["violations"]
+
+
+    def test_unknown_scenario_rejected(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path, "b.json", {
+            "bounds": {"scenario": "typo", "eta0": 0.5, "zeta0": 0.05}})
+        assert main(["bounds", "--config", cfgp]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert "unknown bounds scenario" in err["message"]
 
 
 class TestOracleCommand:

@@ -7,11 +7,13 @@ from dislodyn.errors import CoincidentPoints, PointInsideDisk, PointOutside
 from dislodyn.geometry import Disk, ExteriorDisk, HalfPlane, Plane
 from dislodyn.kernels_analytic import (DiskKernels, ExteriorDiskKernels,
                                        HalfPlaneKernels, PlaneKernels,
-                                       analytic_kernels, grad_h_disk,
-                                       green_disk, h_disk, kernels_exterior_disk,
-                                       kernels_halfplane, kernels_plane)
+                                       analytic_kernels)
 
 TWO_PI = 2.0 * math.pi
+UNIT_DISK = DiskKernels(Disk())
+EXTERIOR = ExteriorDiskKernels(ExteriorDisk())
+UPPER = HalfPlaneKernels(HalfPlane.upper())
+PLANE = PlaneKernels()
 
 
 def fd_grad(f, x, step=1e-6):
@@ -25,19 +27,19 @@ def fd_grad(f, x, step=1e-6):
 class TestGreenDisk:
     def test_center_source(self):
         # with y at the origin the regular part cancels
-        assert green_disk((0.5, 0.0), (0.0, 0.0)) == pytest.approx(
+        assert UNIT_DISK.G((0.5, 0.0), (0.0, 0.0)) == pytest.approx(
             -math.log(0.5) / TWO_PI, abs=1e-14)
 
     def test_symmetry(self):
-        a = green_disk((0.3, 0.2), (-0.4, 0.1))
-        b = green_disk((-0.4, 0.1), (0.3, 0.2))
+        a = UNIT_DISK.G((0.3, 0.2), (-0.4, 0.1))
+        b = UNIT_DISK.G((-0.4, 0.1), (0.3, 0.2))
         assert abs(a - b) < 1e-13
 
     def test_dirichlet_decay(self):
         y = (0.2, 0.1)
         for d1 in (1e-3, 1e-5, 1e-7):
             x = (1.0 - d1, 0.0)
-            assert abs(green_disk(x, y)) < max(1e-6, 10 * d1)
+            assert abs(UNIT_DISK.G(x, y)) < max(1e-6, 10 * d1)
 
     def test_symmetry_sweep(self, rng):
         ev = DiskKernels(Disk())
@@ -49,17 +51,25 @@ class TestGreenDisk:
 
     def test_coincident_raises(self):
         with pytest.raises(CoincidentPoints):
-            green_disk((0.1, 0.1), (0.1, 0.1))
+            UNIT_DISK.G((0.1, 0.1), (0.1, 0.1))
 
     def test_outside_raises(self):
         with pytest.raises(PointOutside):
-            green_disk((1.5, 0.0), (0.1, 0.1))
+            UNIT_DISK.G((1.5, 0.0), (0.1, 0.1))
+
+    def test_errors_name_the_point(self):
+        with pytest.raises(PointOutside, match=r"\(1\.5, -0\.25\)"):
+            UNIT_DISK.grad_h(np.array([1.5, -0.25]))
+        with pytest.raises(PointInsideDisk, match=r"\(0\.5, 0\.0\)"):
+            EXTERIOR.h(np.array([0.5, 0.0]))
+        with pytest.raises(PointOutside, match=r"\(0\.0, -1\.0\)"):
+            UPPER.h((0.0, -1.0))
 
 
 class TestExteriorDisk:
     def test_h_value(self):
         # |x| = 1.1: h = log(0.21) / (2 pi)
-        _, _, h = kernels_exterior_disk((1.1, 0.0), (2.0, 0.0))
+        h = EXTERIOR.h((1.1, 0.0))
         assert h == pytest.approx(math.log(0.21) / TWO_PI, abs=1e-12)
 
     def test_h_two_forms_agree(self, rng):
@@ -93,23 +103,23 @@ class TestExteriorDisk:
 
     def test_inside_raises(self):
         with pytest.raises(PointInsideDisk):
-            kernels_exterior_disk((0.5, 0.0), (2.0, 0.0))
+            EXTERIOR.G((0.5, 0.0), (2.0, 0.0))
 
 
 class TestHalfPlane:
     def test_h_at_half(self):
-        _, _, h, _ = kernels_halfplane((0.0, 0.5), (1.0, 1.0))
+        h = UPPER.h((0.0, 0.5))
         assert h == pytest.approx(0.0, abs=1e-15)
 
     def test_single_dislocation_force(self):
         # -grad h / 2 at height 0.1
-        *_, gh = kernels_halfplane((0.0, 0.1), (1.0, 1.0))
+        gh = UPPER.grad_h((0.0, 0.1))
         force = -0.5 * gh
         assert force == pytest.approx([0.0, -1.0 / (4 * math.pi * 0.1)],
                                       abs=1e-12)
 
     def test_green_value(self):
-        G, *_ = kernels_halfplane((0.0, 1.0), (0.0, 2.0))
+        G = UPPER.G((0.0, 1.0), (0.0, 2.0))
         assert G == pytest.approx(math.log(3.0) / TWO_PI, abs=1e-14)
 
     def test_symmetry_sweep(self, rng):
@@ -131,10 +141,11 @@ class TestHalfPlane:
 
 class TestPlane:
     def test_pair_energy_values(self):
-        G, k, h = kernels_plane((1.0, 0.0), (0.0, 0.0))
+        x, y = (1.0, 0.0), (0.0, 0.0)
+        G, k, h = PLANE.G(x, y), PLANE.k(x, y), PLANE.h(x)
         assert k == 0.0 and h == 0.0
         assert G == pytest.approx(0.0, abs=1e-15)  # log 1
-        G2, _, _ = kernels_plane((0.5, 0.0), (0.0, 0.0))
+        G2 = PLANE.G((0.5, 0.0), (0.0, 0.0))
         # opposite moduli: E_2 = -b1 b2 log r / (2 pi) = log(0.5)/(2 pi)
         assert -(-1) * G2 == pytest.approx(math.log(2) / TWO_PI, abs=1e-14)
 
@@ -146,12 +157,12 @@ class TestPlane:
 
 class TestHDisk:
     def test_center(self):
-        assert h_disk((0.0, 0.0)) == pytest.approx(0.0, abs=1e-15)
-        assert grad_h_disk((0.0, 0.0)) == pytest.approx([0.0, 0.0])
+        assert UNIT_DISK.h((0.0, 0.0)) == pytest.approx(0.0, abs=1e-15)
+        assert UNIT_DISK.grad_h((0.0, 0.0)) == pytest.approx([0.0, 0.0])
 
     def test_value_at_half_radius(self):
         # h = log(1 - 0.25) / (2 pi); equals the boundary-distance identity
-        assert h_disk((0.5, 0.0)) == pytest.approx(
+        assert UNIT_DISK.h((0.5, 0.0)) == pytest.approx(
             math.log(0.75) / TWO_PI, abs=1e-14)
 
     def test_identity_with_boundary_distance(self, rng):
@@ -168,13 +179,13 @@ class TestHDisk:
 
     def test_grad_vs_fd(self):
         x = np.array([0.3, 0.4])
-        num = fd_grad(lambda p: h_disk(p), x)
-        assert grad_h_disk(x) == pytest.approx(num, rel=1e-6)
+        num = fd_grad(lambda p: UNIT_DISK.h(p), x)
+        assert UNIT_DISK.grad_h(x) == pytest.approx(num, rel=1e-6)
 
     def test_velocity_is_motion_law(self):
         # -grad h / 2 = z / (2 pi (1 - |z|^2))
         z = np.array([0.5, 0.0])
-        v = -0.5 * grad_h_disk(z)
+        v = -0.5 * UNIT_DISK.grad_h(z)
         assert v == pytest.approx(z / (TWO_PI * (1 - 0.25)), abs=1e-14)
 
 

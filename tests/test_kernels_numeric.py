@@ -1,15 +1,17 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from dislodyn.errors import PointOutside, TargetTooCloseToBoundary
-from dislodyn.geometry import _CARDIOID_A
+from dislodyn.geometry import _CARDIOID_A, AxisAlignedPolygon
 from dislodyn.kernels_analytic import DiskKernels
 from dislodyn.kernels_numeric import (GridKernels, NumericKernelConfig,
-                                      NystromKernels, grad_h_numeric,
-                                      h_numeric, solve_k)
+                                      NystromKernels, _shared_evaluator,
+                                      grad_h_numeric, h_numeric, solve_k)
 
 TWO_PI = 2.0 * math.pi
 
@@ -17,7 +19,7 @@ TWO_PI = 2.0 * math.pi
 def cardioid_conformal_h(w, a=_CARDIOID_A, offset=None):
     """Independent oracle: the builtin cardioid is the image of the unit
     disk under f(z) = -a (z-1)^2 + offset, and the regular part transforms
-    as h(w) = h_disk(z) + log|f'(z)| / (2 pi)."""
+    as h(w) = h_disk(z) + log|f'(z)| / (2 pi), h_disk the unit disk's h."""
     if offset is None:
         offset = (0.5 + 1.75 * a, 0.5)
     W = complex(w[0] - offset[0], w[1] - offset[1])
@@ -55,6 +57,19 @@ class TestSolveK:
     def test_outside_rejected(self, disk):
         with pytest.raises(PointOutside):
             solve_k(disk, (1.5, 0.0), [(0.2, 0.0)])
+
+    def test_shared_evaluators_bounded(self):
+        # fresh domains must not pin an evaluator each
+        cfg = NumericKernelConfig(backend="integral", boundary_nodes=64)
+        refs = []
+        for _ in range(20):
+            sq = AxisAlignedPolygon.square()
+            solve_k(sq, (0.5, 0.5), [(0.4, 0.5)], cfg)
+            refs.append(weakref.ref(_shared_evaluator(sq, cfg)))
+        del sq
+        gc.collect()
+        alive = sum(r() is not None for r in refs)
+        assert alive <= _shared_evaluator.cache_info().maxsize
 
 
 class TestHNumeric:
