@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import DislodynError
+from .errors import DislodynError, StartTooClose
 from .geometry import Configuration, Domain, min_separation
 from .kernels_analytic import KernelEvaluator
 from .mechanics import forces_from_arrays, mobility_identity
@@ -167,9 +167,10 @@ def integrate(config: Configuration, domain: Domain, kernels: KernelEvaluator,
     burgers = config.burgers
     n = config.n
     eps = params.resolve_eps(domain, kernels)
-    if min_separation(config, domain) <= 2.0 * eps:
-        raise ValueError("initial configuration too close to the event set "
-                         f"(need min separation > {2.0 * eps:g})")
+    separation = min_separation(config, domain)
+    if separation <= 2.0 * eps:
+        raise StartTooClose("initial configuration too close to the event set "
+                            f"(min separation {separation:.3g}, need > {2.0 * eps:g})")
 
     budget = {"nfev": 0}
 

@@ -53,6 +53,10 @@ class Singularity(DislodynError, ValueError):
     """Reduced-ODE right-hand side evaluated at a coincidence singularity."""
 
 
+class StartTooClose(DislodynError, ValueError):
+    """Initial configuration within 2 eps_stop of the event set; no run starts."""
+
+
 class ScenarioMismatch(DislodynError, ValueError):
     """Trajectory and bound report describe incompatible scenarios."""
 

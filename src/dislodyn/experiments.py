@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds as bounds_mod
-from .errors import RejectionOverflow
+from .errors import RejectionOverflow, StartTooClose
 from .geometry import (AxisAlignedPolygon, Configuration, Disk, Domain,
                        ExteriorDisk, HalfPlane, Plane, SmoothCurveDomain,
                        cardioid_domain, in_class_D)
@@ -393,8 +393,14 @@ def _ensemble_worker(args):
         np.random.SeedSequence([cfg["seed"], run_index]))
     # every run samples, even when the config also lists dislocations
     config = _sample(cfg["sampling"], domain, rng)
-    traj = integrate(config, domain, kernels, mobility, params)
-    term = _termination_dict(traj.termination)
+    try:
+        traj = integrate(config, domain, kernels, mobility, params)
+    except StartTooClose as exc:
+        # the sampler may place a run within 2 eps_stop of the boundary;
+        # that run fails and the ensemble goes on
+        term, n_samples = {"kind": "failure", "reason": f"refused start: {exc}"}, 0
+    else:
+        term, n_samples = _termination_dict(traj.termination), traj.stats["n_samples"]
     return {
         "run": run_index,
         "seed_entropy": [cfg["seed"], run_index],
@@ -403,7 +409,7 @@ def _ensemble_worker(args):
         "raw_time": term.get("stop_time"),
         "burgers": [int(b) for b in config.burgers],
         "initial": [[float(v) for v in p] for p in config.positions],
-        "n_samples": traj.stats["n_samples"],
+        "n_samples": n_samples,
     }
 
 

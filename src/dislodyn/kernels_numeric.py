@@ -375,18 +375,21 @@ def solve_k(domain: Domain, y, targets,
             cfg: NumericKernelConfig = NumericKernelConfig()) -> np.ndarray:
     """Values of the regular part k(target, y) for each target point.
 
-    Enforces the backend's boundary margin on y and on every target;
-    violating points raise ``TargetTooCloseToBoundary``.
+    Refuses a source or target outside the domain (``PointOutside``) before
+    building the evaluator, and enforces the backend's boundary margin on
+    every target (``TargetTooCloseToBoundary``).
     """
-    ev = _shared_evaluator(domain, cfg)
     y = np.asarray(y, float).reshape(2)
     targets = np.asarray(targets, float).reshape(-1, 2)
-    margin = ev.min_eval_distance
+    # containment first: a refused call builds no evaluator
     if not domain.contains(y):
         raise PointOutside(f"source {y} is not inside the domain")
     for p in targets:
         if not domain.contains(p):
             raise PointOutside(f"target {p} is not inside the domain")
+    ev = _shared_evaluator(domain, cfg)
+    margin = ev.min_eval_distance
+    for p in targets:
         if domain.probe(p).distance < margin:
             raise TargetTooCloseToBoundary(
                 f"target {p} is within the resolution margin {margin:g}")
@@ -404,10 +407,10 @@ def h_numeric(domain: Domain, x,
 def grad_h_numeric(domain: Domain, x,
                    cfg: NumericKernelConfig = NumericKernelConfig()) -> np.ndarray:
     """Gradient of h by central differences of k with the source frozen."""
-    ev = _shared_evaluator(domain, cfg)
     x = np.asarray(x, float).reshape(2)
     if not domain.contains(x):
         raise PointOutside(f"{x} is not inside the domain")
+    ev = _shared_evaluator(domain, cfg)
     if domain.probe(x).distance < ev.min_eval_distance:
         raise TargetTooCloseToBoundary(
             f"{x} is within the resolution margin {ev.min_eval_distance:g}")

@@ -69,29 +69,23 @@ class GlideSet:
 def energy_from_arrays(positions: np.ndarray, burgers: np.ndarray,
                        kernels: KernelEvaluator) -> float:
     """Renormalised energy from raw (n, 2) and (n,) arrays."""
-    n = len(positions)
-    total = 0.0
-    for i in range(n):
-        total += 0.5 * kernels.h(positions[i])
-        for j in range(i + 1, n):
-            total += burgers[i] * burgers[j] * kernels.G(positions[i], positions[j])
-    return total
+    h, G = kernels.h_and_G(positions)
+    b = np.asarray(burgers, dtype=float)
+    # G is symmetric with a zero diagonal: b.G.b counts each pair twice
+    return 0.5 * float(h.sum() + b @ G @ b)
 
 
 def forces_from_arrays(positions: np.ndarray, burgers: np.ndarray,
                        kernels: KernelEvaluator) -> np.ndarray:
     """Peach-Koehler forces from raw arrays; returns an (n, 2) array."""
-    n = len(positions)
-    out = np.empty((n, 2))
-    for i in range(n):
-        f = -0.5 * kernels.grad_h(positions[i])
-        for j in range(n):
-            if j == i:
-                continue
-            f = f - burgers[i] * burgers[j] * kernels.grad_x_G(positions[i],
-                                                               positions[j])
-        out[i] = f
-    return out
+    grad_h, grad_G = kernels.grad_h_and_G(positions)
+    if len(grad_h) == 1:
+        # no pair term; skipping its array calls saves 1-3% of an RHS on the
+        # numeric backends, where n = 1 is the common case
+        return -0.5 * grad_h
+    b = np.asarray(burgers, dtype=float)
+    # (b @ grad_G)[i] = sum_j b_j grad_x G(z_i, z_j); the diagonal is zero
+    return -0.5 * grad_h - b[:, None] * (b @ grad_G)
 
 
 def energy(config: Configuration, kernels: KernelEvaluator) -> float:

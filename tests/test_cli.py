@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -37,7 +38,8 @@ class TestSimulate:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "x1", "y1", "b1"]
         assert float(rows[1][2]) == 0.1
-        side = json.loads(open(os.path.join(out, "trajectory.json")).read())
+        with open(os.path.join(out, "trajectory.json")) as fh:
+            side = json.load(fh)
         assert side["termination"]["kind"] == "boundary"
         assert side["params"]["eps_stop"] > 0
 
@@ -162,6 +164,27 @@ class TestEnsemble:
                               integration={"max_steps": 5}))
         assert [r["termination"]["kind"] for r in s.records] == ["failure"] * 4
         assert all(r["n_samples"] == 1 for r in s.records)
+
+    def test_refused_start_recorded(self):
+        # seed 2, run 117 of the criterion-5 config starts with
+        # d_n = 3.19e-4 <= 2 eps_stop = 4e-4; that run fails, the rest go on
+        s = run_ensemble(dict(self.CFG, seed=2, ensemble_size=118))
+        refused = s.records[117]
+        assert refused["termination"]["kind"] == "failure"
+        assert refused["termination"]["reason"].startswith("refused start:")
+        assert "min separation 0.000319" in refused["termination"]["reason"]
+        assert refused["corrected_time"] is None and refused["n_samples"] == 0
+        assert refused["initial"][0] == pytest.approx(
+            [0.4163764315243559, -0.9088409363912862])
+        kinds = [r["termination"]["kind"] for r in s.records[:117]]
+        assert "failure" not in kinds and kinds.count("boundary") > 100
+
+    def test_poisoned_stages_emit_no_warnings(self):
+        # trial stages that leave the disk are refused before any arithmetic
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            s = run_ensemble(dict(self.CFG, ensemble_size=40))
+        assert len(s.boundary_times) > 30
 
     def test_listed_dislocations_do_not_replace_sampling(self):
         cfg = dict(self.CFG, ensemble_size=4)

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 from dislodyn.errors import PointOutside, TargetTooCloseToBoundary
-from dislodyn.geometry import _CARDIOID_A, AxisAlignedPolygon
+from dislodyn.geometry import _CARDIOID_A, AxisAlignedPolygon, Disk
 from dislodyn.kernels_analytic import DiskKernels
 from dislodyn.kernels_numeric import (GridKernels, NumericKernelConfig,
                                       NystromKernels, _shared_evaluator,
@@ -57,6 +57,18 @@ class TestSolveK:
     def test_outside_rejected(self, disk):
         with pytest.raises(PointOutside):
             solve_k(disk, (1.5, 0.0), [(0.2, 0.0)])
+
+    def test_refusal_builds_no_evaluator(self):
+        domain = Disk(radius=1.01)
+        misses = _shared_evaluator.cache_info().misses
+        calls = (lambda: solve_k(domain, (1.5, 0.0), [(0.2, 0.0)]),
+                 lambda: solve_k(domain, (0.2, 0.0), [(0.1, 0.0), (0.0, 1.2)]),
+                 lambda: h_numeric(domain, (1.5, 0.0)),
+                 lambda: grad_h_numeric(domain, (0.0, -1.5)))
+        for call in calls:
+            with pytest.raises(PointOutside):
+                call()
+        assert _shared_evaluator.cache_info().misses == misses
 
     def test_shared_evaluators_bounded(self):
         # fresh domains must not pin an evaluator each

@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dislodyn.errors import CoincidentPoints, PointInsideDisk, PointOutside
 from dislodyn.geometry import Configuration, Disk, ExteriorDisk, HalfPlane, Plane
-from dislodyn.kernels_analytic import analytic_kernels
+from dislodyn.kernels_analytic import DiskKernels, KernelEvaluator, analytic_kernels
+from dislodyn.kernels_numeric import NumericKernelConfig, NystromKernels
 from dislodyn.mechanics import (GlideSet, energy, energy_from_arrays, forces,
                                 forces_from_arrays, mobility_glide,
                                 mobility_identity)
@@ -208,3 +211,106 @@ class TestNumericDomainForces:
             rel = np.max(np.abs(f - g)) / max(1.0, float(np.max(np.abs(f))))
             assert rel < 1e-3
             checked += 1
+
+
+def loop_forces(pts, b, ev):
+    """The Peach-Koehler sum over the scalar kernel methods, pair by pair."""
+    out = np.empty((len(pts), 2))
+    for i in range(len(pts)):
+        f = -0.5 * ev.grad_h(pts[i])
+        for j in range(len(pts)):
+            if j != i:
+                f = f - b[i] * b[j] * ev.grad_x_G(pts[i], pts[j])
+        out[i] = f
+    return out
+
+
+def loop_energy(pts, b, ev):
+    total = 0.0
+    for i in range(len(pts)):
+        total += 0.5 * ev.h(pts[i])
+        for j in range(i + 1, len(pts)):
+            total += b[i] * b[j] * ev.G(pts[i], pts[j])
+    return total
+
+
+def spread_points(rng, sampler, n, min_sep=0.05):
+    pts = []
+    while len(pts) < n:
+        p = sampler(rng)
+        if all(np.linalg.norm(p - q) >= min_sep for q in pts):
+            pts.append(p)
+    return np.array(pts)
+
+
+BATCHED_CASES = {
+    "disk": (lambda: analytic_kernels(Disk()),
+             lambda rng: rng.uniform(-0.65, 0.65, 2)),
+    "exterior_disk": (lambda: analytic_kernels(ExteriorDisk()),
+                      lambda rng: rng.uniform(1.3, 3.0, 2) * rng.choice([-1, 1], 2)),
+    "half_plane": (lambda: analytic_kernels(HalfPlane.upper()),
+                   lambda rng: rng.uniform([-1.5, 0.2], [1.5, 2.5])),
+    "plane": (lambda: analytic_kernels(Plane()),
+              lambda rng: rng.uniform(-2, 2, 2)),
+    "nystrom_disk": (lambda: NystromKernels(Disk(), NumericKernelConfig(
+        boundary_nodes=64)), lambda rng: rng.uniform(-0.6, 0.6, 2)),
+}
+
+
+class TestBatchedAssembly:
+    @pytest.mark.parametrize("case", sorted(BATCHED_CASES))
+    @pytest.mark.parametrize("n", [1, 2, 3, 20])
+    def test_matches_scalar_loop(self, case, n, rng):
+        make, sampler = BATCHED_CASES[case]
+        ev = make()
+        pts = spread_points(rng, sampler, n)
+        b = rng.choice([-1, 1], n)
+        want = loop_forces(pts, b, ev)
+        got = forces_from_arrays(pts, b, ev)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        e_want = loop_energy(pts, b, ev)
+        assert abs(energy_from_arrays(pts, b, ev) - e_want) <= 1e-13 * abs(e_want)
+
+    def test_batched_shapes(self):
+        ev = analytic_kernels(Disk())
+        pts = np.array([[0.1, 0.2], [-0.3, 0.4], [0.5, -0.1]])
+        grad_h, grad_G = ev.grad_h_and_G(pts)
+        h, G = ev.h_and_G(pts)
+        assert grad_h.shape == (3, 2) and grad_G.shape == (3, 3, 2)
+        assert h.shape == (3,) and G.shape == (3, 3)
+        assert np.all(grad_G[[0, 1, 2], [0, 1, 2]] == 0.0)
+        assert np.all(np.diag(G) == 0.0)
+        assert grad_G[1, 2] == pytest.approx(ev.grad_x_G(pts[1], pts[2]), abs=1e-15)
+        assert G[2, 0] == pytest.approx(ev.G(pts[2], pts[0]), abs=1e-15)
+
+    @pytest.mark.parametrize("domain,pts,error,named", [
+        (Disk(), [[0.1, 0.0], [1.5, 0.25]], PointOutside, "(1.5, 0.25)"),
+        (ExteriorDisk(), [[2.0, 0.0], [0.5, 0.25]], PointInsideDisk, "(0.5, 0.25)"),
+        (HalfPlane.upper(), [[0.0, 1.0], [0.75, -0.5]], PointOutside, "(0.75, -0.5)"),
+        (Disk(), [[0.1, 0.2], [0.3, 0.1], [0.1, 0.2]], CoincidentPoints, "(0.1, 0.2)"),
+        (Plane(), [[1.5, 0.25], [1.5, 0.25]], CoincidentPoints, "(1.5, 0.25)"),
+        (Plane(), [[0.0, 0.0], [math.nan, 1.0]], PointOutside, "(nan, 1.0)"),
+        (ExteriorDisk(), [[2.0, 0.0], [math.inf, 1.0]], PointOutside, "(inf, 1.0)"),
+    ])
+    def test_errors_name_the_point(self, domain, pts, error, named):
+        ev = analytic_kernels(domain)
+        b = np.ones(len(pts))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for assemble in (forces_from_arrays, energy_from_arrays):
+                with pytest.raises(error) as exc:
+                    assemble(np.array(pts), b, ev)
+                assert named in str(exc.value)
+
+    def test_disk_forces_use_no_scalar_calls(self, monkeypatch, rng):
+        def refuse(*args):
+            raise AssertionError("scalar kernel call")
+
+        for name in ("grad_x_G", "grad_x_k", "grad_h", "G", "k", "h"):
+            monkeypatch.setattr(KernelEvaluator, name, refuse)
+            monkeypatch.setattr(DiskKernels, name, refuse)
+        ev = DiskKernels(Disk())
+        pts = spread_points(rng, lambda r: r.uniform(-0.65, 0.65, 2), 20)
+        b = rng.choice([-1, 1], 20)
+        assert np.all(np.isfinite(forces_from_arrays(pts, b, ev)))
+        assert math.isfinite(energy_from_arrays(pts, b, ev))
