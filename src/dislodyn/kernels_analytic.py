@@ -16,8 +16,9 @@ pair on each right-hand side, so ``KernelEvaluator`` also evaluates them for
 all n points at once (``grad_h_and_G``, and ``h_and_G`` for the energy).
 The closed-form backends supply their regular part over all pairs in
 complex notation, z = x + iy with a gradient (gx, gy) written gx + i gy,
-where the bare gradient -(x - y)/(2 pi |x - y|^2) is -1/(2 pi conj(x - y));
-other backends loop over their scalar methods.
+where the bare gradient -(x - y)/(2 pi |x - y|^2) is -1/(2 pi conj(x - y)).
+The numeric backends override the batched methods with a loop over their
+scalar methods.
 
 For a disk of radius rho centred at the origin the symmetric form
 
@@ -77,17 +78,14 @@ class KernelEvaluator:
     margin below which evaluations are only best-effort (zero for analytic
     backends).
 
-    A backend may also implement its regular part over all pairs of n
-    points given in complex form: ``_k_pairs(z)[i, j] = k(z_i, z_j)`` and
-    ``_grad_k_pairs(z)[i, j] = grad_x k(z_i, z_j)``, each checking once that
-    every point is on the domain's side.  The batched methods then
-    broadcast; without them they loop over the scalar methods.
+    For the batched methods a backend also implements its regular part over
+    all pairs of n points given in complex form: ``_k_pairs(z)[i, j] =
+    k(z_i, z_j)`` and ``_grad_k_pairs(z)[i, j] = grad_x k(z_i, z_j)``, each
+    checking once that every point is on the domain's side.
     """
 
     backend = "analytic"
     min_eval_distance = 0.0
-    _k_pairs = None
-    _grad_k_pairs = None
 
     domain: Domain
 
@@ -119,42 +117,30 @@ class KernelEvaluator:
     def grad_h(self, x) -> np.ndarray:
         raise NotImplementedError
 
+    def _k_pairs(self, z: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _grad_k_pairs(self, z: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
     def grad_h_and_G(self, positions) -> tuple[np.ndarray, np.ndarray]:
         """grad h at each of n points, shape (n, 2), and grad_x G(z_i, z_j)
         for every pair, shape (n, n, 2) with a zero diagonal."""
-        if self._grad_k_pairs is not None:
-            z = self._finite(positions)
-            reg = self._grad_k_pairs(z)
-            grad_G = reg - 1.0 / (_TWO_PI * self._separations(z).conj())
-            grad_G.flat[::len(z) + 1] = 0.0
-            # k is symmetric, so grad h(x) = 2 grad_x k(x, y) at y = x
-            return _as_real(2.0 * reg.diagonal()), _as_real(grad_G)
-        n = len(positions)
-        grad_h = np.empty((n, 2))
-        grad_G = np.zeros((n, n, 2))
-        for i in range(n):
-            grad_h[i] = self.grad_h(positions[i])
-            for j in range(n):
-                if j != i:
-                    grad_G[i, j] = self.grad_x_G(positions[i], positions[j])
-        return grad_h, grad_G
+        z = self._finite(positions)
+        reg = self._grad_k_pairs(z)
+        grad_G = reg - 1.0 / (_TWO_PI * self._separations(z).conj())
+        grad_G.flat[::len(z) + 1] = 0.0
+        # k is symmetric, so grad h(x) = 2 grad_x k(x, y) at y = x
+        return _as_real(2.0 * reg.diagonal()), _as_real(grad_G)
 
     def h_and_G(self, positions) -> tuple[np.ndarray, np.ndarray]:
         """h at each of n points, shape (n,), and G(z_i, z_j) for every
         pair, shape (n, n), symmetric with a zero diagonal."""
-        if self._k_pairs is not None:
-            z = self._finite(positions)
-            reg = self._k_pairs(z)
-            G = reg - np.log(np.abs(self._separations(z))) / _TWO_PI
-            G.flat[::len(z) + 1] = 0.0
-            return reg.diagonal().copy(), G
-        n = len(positions)
-        h = np.array([self.h(p) for p in positions], dtype=float)
-        G = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                G[i, j] = G[j, i] = self.G(positions[i], positions[j])
-        return h, G
+        z = self._finite(positions)
+        reg = self._k_pairs(z)
+        G = reg - np.log(np.abs(self._separations(z))) / _TWO_PI
+        G.flat[::len(z) + 1] = 0.0
+        return reg.diagonal().copy(), G
 
     def _check_distinct(self, x, y):
         if math.hypot(x[0] - y[0], x[1] - y[1]) < COINCIDENCE_TOL:

@@ -124,6 +124,28 @@ class _NumericBase(KernelEvaluator):
         x = np.asarray(x, float).reshape(2)
         return 2.0 * self.grad_x_k(x, x)
 
+    # the batched methods loop over the scalar ones: each source is its own
+    # density solve, so there is no pair arithmetic worth broadcasting
+    def grad_h_and_G(self, positions) -> tuple[np.ndarray, np.ndarray]:
+        n = len(positions)
+        grad_h = np.empty((n, 2))
+        grad_G = np.zeros((n, n, 2))
+        for i in range(n):
+            grad_h[i] = self.grad_h(positions[i])
+            for j in range(n):
+                if j != i:
+                    grad_G[i, j] = self.grad_x_G(positions[i], positions[j])
+        return grad_h, grad_G
+
+    def h_and_G(self, positions) -> tuple[np.ndarray, np.ndarray]:
+        n = len(positions)
+        h = np.array([self.h(p) for p in positions], dtype=float)
+        G = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                G[i, j] = G[j, i] = self.G(positions[i], positions[j])
+        return h, G
+
     # hooks provided by the concrete backends
     def _density(self, y: np.ndarray):
         raise NotImplementedError

@@ -79,10 +79,6 @@ def forces_from_arrays(positions: np.ndarray, burgers: np.ndarray,
                        kernels: KernelEvaluator) -> np.ndarray:
     """Peach-Koehler forces from raw arrays; returns an (n, 2) array."""
     grad_h, grad_G = kernels.grad_h_and_G(positions)
-    if len(grad_h) == 1:
-        # no pair term; skipping its array calls saves 1-3% of an RHS on the
-        # numeric backends, where n = 1 is the common case
-        return -0.5 * grad_h
     b = np.asarray(burgers, dtype=float)
     # (b @ grad_G)[i] = sum_j b_j grad_x G(z_i, z_j); the diagonal is zero
     return -0.5 * grad_h - b[:, None] * (b @ grad_G)

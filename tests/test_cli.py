@@ -106,6 +106,18 @@ class TestSimulate:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "StepFailure"
 
+    def test_start_too_close_exit_code(self, tmp_path, capsys):
+        # a start must lie more than 2 eps_stop = 4e-4 from the unit
+        # disk's boundary; this one is 1e-4 from it
+        cfgp = write_config(tmp_path, "close.json", {
+            "domain": {"kind": "disk"},
+            "dislocations": [{"position": [0.9999, 0.0], "burgers": 1}]})
+        assert main(["simulate", "--config", cfgp,
+                     "--out", str(tmp_path / "co")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "StartTooClose"
+        assert "min separation" in err["message"]
+
 
 class TestEnsemble:
     CFG = {
