@@ -57,7 +57,7 @@ _DEFAULTS = {
     "integration": {"t_max": 10.0, "rel_tol": 1e-8, "abs_tol": 1e-10,
                     "eps_stop": None, "max_steps": 10_000_000},
     "kernel": {"backend": "auto", "boundary_nodes": 512, "grid_spacing": None,
-               "solve_tol": 1e-10, "gradient_step": None},
+               "solve_tol": 1e-10},
     "seed": 0,
     "ensemble_size": 500,
     "histogram_bin_width": 0.005,
@@ -131,7 +131,6 @@ def build_kernels(domain: Domain, spec: dict) -> KernelEvaluator:
         boundary_nodes=spec.get("boundary_nodes", 512),
         grid_spacing=spec.get("grid_spacing"),
         solve_tol=spec.get("solve_tol", 1e-10),
-        gradient_step=spec.get("gradient_step"),
     )
     return numeric_kernels(domain, ncfg)
 

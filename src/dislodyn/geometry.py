@@ -282,9 +282,12 @@ class SmoothCurveDomain(Domain):
         kmax = float(np.max(np.abs(kappa))) if kappa.size else 0.0
         self._rho = float(rho) if rho is not None else (
             1.0 / kmax if kmax > 0 else math.inf)
-        dx = self._pts[:, 0][:, None] - self._pts[:, 0][None, :]
-        dy = self._pts[:, 1][:, None] - self._pts[:, 1][None, :]
-        self._diam = float(np.sqrt(dx * dx + dy * dy).max())
+        # largest pairwise distance, 256 rows at a time: the whole matrix
+        # takes over 100 MB at the cardioid's 2048 samples
+        x, y = self._pts[:, :1], self._pts[:, 1:]
+        self._diam = max(float(np.sqrt((x[i:i + 256] - x.T) ** 2
+                                       + (y[i:i + 256] - y.T) ** 2).max())
+                         for i in range(0, n_samples, 256))
 
     @property
     def diameter(self) -> float:

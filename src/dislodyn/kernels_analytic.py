@@ -17,8 +17,8 @@ all n points at once (``grad_h_and_G``, and ``h_and_G`` for the energy).
 The closed-form backends supply their regular part over all pairs in
 complex notation, z = x + iy with a gradient (gx, gy) written gx + i gy,
 where the bare gradient -(x - y)/(2 pi |x - y|^2) is -1/(2 pi conj(x - y)).
-The numeric backends override the batched methods with a loop over their
-scalar methods.
+The numeric backends supply the same two methods with one density solve
+per source, evaluated at all n targets.
 
 For a disk of radius rho centred at the origin the symmetric form
 
@@ -80,8 +80,9 @@ class KernelEvaluator:
 
     For the batched methods a backend also implements its regular part over
     all pairs of n points given in complex form: ``_k_pairs(z)[i, j] =
-    k(z_i, z_j)`` and ``_grad_k_pairs(z)[i, j] = grad_x k(z_i, z_j)``, each
-    checking once that every point is on the domain's side.
+    k(z_i, z_j)`` and ``_grad_k_pairs(z)[i, j] = grad_x k(z_i, z_j)``.  The
+    closed forms check once that every point is on the domain's side; the
+    numeric backends do no side check, as on their scalar path.
     """
 
     backend = "analytic"

@@ -14,21 +14,22 @@ regular part k(., y):
   point; the sparse matrix is factorized once, evaluation interpolates
   bilinearly.
 
-``h`` is k(x, x) and ``grad h = 2 grad_x k(x, y)|_{y=x}`` is obtained by
-central finite differences of k in its first argument with the second
-frozen, which keeps the gradient backend-agnostic.  Solutions are cached
-per source point (rounded to 1e-12).  Below roughly one mesh width from the
-boundary the quadrature cannot resolve the boundary data; the public
-``solve_k`` refuses such targets, while the evaluator used by the dynamics
-falls back to best-effort values (with the nearest-density subtraction that
-keeps near-boundary evaluation usable).
+``h`` is k(x, x) and ``grad h = 2 grad_x k(x, y)|_{y=x}``, where each
+backend differentiates its own solution exactly: the double layer in closed
+form, the grid's bilinear interpolant cell by cell.  A backend evaluates one
+source's solution at an array of targets, so the batched methods cost one
+solve per source.  Solutions are cached per source point (rounded to
+1e-12).  Below roughly one mesh width from the boundary the quadrature
+cannot resolve the boundary data; the public ``solve_k`` refuses such
+targets, while the evaluator used by the dynamics falls back to best-effort
+values (with the nearest-density subtraction that keeps near-boundary
+evaluation usable).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import (PointOutside, SolverDivergence, TargetTooCloseToBoundary)
 from .geometry import (AxisAlignedPolygon, Disk, Domain, SmoothCurveDomain)
-from .kernels_analytic import KernelEvaluator
+from .kernels_analytic import KernelEvaluator, _as_real, _vec
 
 __all__ = [
     "NumericKernelConfig",
@@ -59,8 +60,6 @@ class NumericKernelConfig:
     boundary_nodes: int = 512          # N_b, even and >= 64
     grid_spacing: float | None = None  # default diameter / 256
     solve_tol: float = 1e-10
-    gradient_step: float | None = None  # default 1e-5 * diameter
-    cache_size: int = 256
 
     def __post_init__(self):
         if self.backend not in ("auto", "integral", "grid"):
@@ -71,86 +70,64 @@ class NumericKernelConfig:
             raise ValueError("grid_spacing must be positive")
 
 
-class _SolutionCache:
-    """Tiny LRU keyed by the source point rounded to 1e-12."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self._data: OrderedDict[tuple, object] = OrderedDict()
-
-    @staticmethod
-    def key(y: np.ndarray) -> tuple:
-        return (round(float(y[0]), 12), round(float(y[1]), 12))
-
-    def get(self, y):
-        k = self.key(y)
-        if k in self._data:
-            self._data.move_to_end(k)
-            return self._data[k]
-        return None
-
-    def put(self, y, value):
-        k = self.key(y)
-        self._data[k] = value
-        self._data.move_to_end(k)
-        while len(self._data) > self.size:
-            self._data.popitem(last=False)
-
-
 class _NumericBase(KernelEvaluator):
     backend = "numeric"
     resolution = 0.0
+    _cache_size = 256  # source solutions kept per evaluator
 
+    # a non-finite point is refused here as on the batched path
     def k(self, x, y) -> float:
-        x = np.asarray(x, float).reshape(2)
-        y = np.asarray(y, float).reshape(2)
+        x, y = _as_real(self._finite([_vec(x), _vec(y)]))
         return float(self._evaluate(self._density(y), x[None, :])[0])
 
     def grad_x_k(self, x, y) -> np.ndarray:
-        x = np.asarray(x, float).reshape(2)
-        dens = self._density(np.asarray(y, float).reshape(2))
-        s = self.fd_step
-        pts = np.array([[x[0] + s, x[1]], [x[0] - s, x[1]],
-                        [x[0], x[1] + s], [x[0], x[1] - s]])
-        v = self._evaluate(dens, pts)
-        return np.array([(v[0] - v[1]) / (2 * s), (v[2] - v[3]) / (2 * s)])
+        x, y = _as_real(self._finite([_vec(x), _vec(y)]))
+        return self._gradient(self._density(y), x[None, :])[0]
 
     def h(self, x) -> float:
-        x = np.asarray(x, float).reshape(2)
         return self.k(x, x)
 
     def grad_h(self, x) -> np.ndarray:
         # h'(x) = 2 grad_x k(x, y)|_{y=x} by symmetry of k
-        x = np.asarray(x, float).reshape(2)
         return 2.0 * self.grad_x_k(x, x)
 
-    # the batched methods loop over the scalar ones: each source is its own
-    # density solve, so there is no pair arithmetic worth broadcasting
-    def grad_h_and_G(self, positions) -> tuple[np.ndarray, np.ndarray]:
-        n = len(positions)
-        grad_h = np.empty((n, 2))
-        grad_G = np.zeros((n, n, 2))
-        for i in range(n):
-            grad_h[i] = self.grad_h(positions[i])
-            for j in range(n):
-                if j != i:
-                    grad_G[i, j] = self.grad_x_G(positions[i], positions[j])
-        return grad_h, grad_G
+    def _per_source(self, hook, z: np.ndarray) -> np.ndarray:
+        """hook(solution for z_j, all n points) in column j: one density
+        solve per source and no side check, as on the scalar path."""
+        pts = _as_real(z)
+        return np.stack([hook(self._density(y), pts) for y in pts], axis=1)
 
-    def h_and_G(self, positions) -> tuple[np.ndarray, np.ndarray]:
-        n = len(positions)
-        h = np.array([self.h(p) for p in positions], dtype=float)
-        G = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                G[i, j] = G[j, i] = self.G(positions[i], positions[j])
-        return h, G
+    def _k_pairs(self, z: np.ndarray) -> np.ndarray:
+        out = self._per_source(self._evaluate, z)
+        # numeric k is symmetric only up to discretisation: mirror the upper
+        # triangle so that G is exactly symmetric
+        lower = np.tril_indices(len(z), -1)
+        out[lower] = out.T[lower]
+        return out
 
-    # hooks provided by the concrete backends
+    def _grad_k_pairs(self, z: np.ndarray) -> np.ndarray:
+        return self._per_source(self._gradient, z).view(complex)[..., 0]
+
     def _density(self, y: np.ndarray):
+        """The solution for source y, kept in an LRU cache keyed by y
+        rounded to 1e-12."""
+        key = (round(float(y[0]), 12), round(float(y[1]), 12))
+        sol = self._cache.pop(key, None)
+        if sol is None:
+            sol = self._solve(y)
+            if len(self._cache) >= self._cache_size:
+                del self._cache[next(iter(self._cache))]
+        self._cache[key] = sol  # the dict's last entry is the most recent
+        return sol
+
+    # hooks provided by the concrete backends; points is an (m, 2) array
+    def _solve(self, y: np.ndarray):
         raise NotImplementedError
 
     def _evaluate(self, density, points: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _gradient(self, density, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -215,43 +192,51 @@ class NystromKernels(_NumericBase):
         m = kern - 0.5 * np.eye(len(self.nodes))
         self._matrix = m
         self._lu = sla.lu_factor(m)
-        self._cache = _SolutionCache(cfg.cache_size)
+        self._cache = {}
         self.resolution = _TWO_PI * domain.diameter / n
         self.min_eval_distance = self.resolution
-        self.fd_step = cfg.gradient_step if cfg.gradient_step is not None \
-            else 1e-5 * domain.diameter
 
-    def _density(self, y: np.ndarray) -> np.ndarray:
-        mu = self._cache.get(y)
-        if mu is not None:
-            return mu
+    def _solve(self, y: np.ndarray) -> np.ndarray:
         g = np.log(np.hypot(self.nodes[:, 0] - y[0],
                             self.nodes[:, 1] - y[1])) / _TWO_PI
         mu = sla.lu_solve(self._lu, g)
         resid = float(np.max(np.abs(self._matrix @ mu - g)))
         if not resid <= max(self.cfg.solve_tol, 1e-12) * (1.0 + float(np.max(np.abs(g)))):
             raise SolverDivergence(f"boundary-integral solve residual {resid:g}")
-        self._cache.put(y, mu)
         return mu
 
+    def _near(self, mu: np.ndarray, points: np.ndarray):
+        """x - y_j and |x - y_j|^2 per target and node, mu at the nearest
+        node (mu*), and w_j (mu_j - mu*)."""
+        dx = points[:, :1] - self.nodes[:, 0]
+        dy = points[:, 1:] - self.nodes[:, 1]
+        r2 = dx * dx + dy * dy
+        star = mu[np.argmin(r2, axis=1)]
+        return dx, dy, r2, star, self.weights * (mu - star[:, None])
+
     def _evaluate(self, mu: np.ndarray, points: np.ndarray) -> np.ndarray:
-        out = np.empty(len(points))
-        for idx, x in enumerate(points):
-            dx = x[0] - self.nodes[:, 0]
-            dy = x[1] - self.nodes[:, 1]
-            r2 = dx * dx + dy * dy
-            jstar = int(np.argmin(r2))
-            kern = (dx * self.normals[:, 0] + dy * self.normals[:, 1]) / (_TWO_PI * r2)
-            # subtract the nearest density value: sum_j w_j K = -1 exactly,
-            # which tames the nearly singular quadrature close to the boundary
-            out[idx] = float(kern @ (self.weights * (mu - mu[jstar]))) - mu[jstar]
-        return out
+        dx, dy, r2, star, wmu = self._near(mu, points)
+        kern = (dx * self.normals[:, 0] + dy * self.normals[:, 1]) / (_TWO_PI * r2)
+        # subtract the nearest density value: sum_j w_j K = -1 exactly,
+        # which tames the nearly singular quadrature close to the boundary
+        return np.einsum("ij,ij->i", kern, wmu) - star
+
+    def _gradient(self, mu: np.ndarray, points: np.ndarray) -> np.ndarray:
+        # mu* is constant between nodes, so only the kernel is differentiated:
+        # grad_x K(x, y) = (nu |r|^2 - 2 (r.nu) r) / (2 pi |r|^4), r = x - y
+        dx, dy, r2, _, wmu = self._near(mu, points)
+        nx, ny = self.normals[:, 0], self.normals[:, 1]
+        c = 2.0 * (dx * nx + dy * ny)
+        coef = wmu / (_TWO_PI * r2 * r2)
+        return np.stack([np.einsum("ij,ij->i", nx * r2 - c * dx, coef),
+                         np.einsum("ij,ij->i", ny * r2 - c * dy, coef)], axis=1)
 
 
 class GridKernels(_NumericBase):
     """5-point finite-difference backend on the bounding box of the domain."""
 
     backend = "grid"
+    _cache_size = 32  # full-grid solutions are large; keep the cache shallow
 
     def __init__(self, domain: Domain, cfg: NumericKernelConfig = NumericKernelConfig()):
         if not domain.bounded:
@@ -325,18 +310,12 @@ class GridKernels(_NumericBase):
         self._b_coefs = np.array([c for _, _, c in b_nodes])
         self._interior_index = idx
         self._ii, self._jj = ii, jj
-        # full-grid solutions are large; keep the cache shallow
-        self._cache = _SolutionCache(min(cfg.cache_size, 32))
+        self._cache = {}
         self.resolution = self.h_grid
         self.min_eval_distance = 2.0 * self.h_grid
-        self.fd_step = cfg.gradient_step if cfg.gradient_step is not None \
-            else 1e-5 * diam
 
-    def _density(self, y: np.ndarray) -> np.ndarray:
+    def _solve(self, y: np.ndarray) -> np.ndarray:
         """Full grid of k(., y) values (interior solve + transplanted data)."""
-        grid = self._cache.get(y)
-        if grid is not None:
-            return grid
         # Dirichlet values at the projections of all non-interior nodes
         gb = np.log(np.hypot(self._b_points[:, 0] - y[0],
                              self._b_points[:, 1] - y[1])) / _TWO_PI
@@ -352,24 +331,32 @@ class GridKernels(_NumericBase):
         grid[out] = np.log(np.hypot(self.proj[out][:, 0] - y[0],
                                     self.proj[out][:, 1] - y[1])) / _TWO_PI
         grid[self._ii, self._jj] = u
-        self._cache.put(y, grid)
         return grid
 
+    def _cell(self, points: np.ndarray):
+        """Lower-left node (i, j) of each point's cell and the point's
+        position (tx, ty) in it; points past the grid use the edge cell."""
+        fx = (points[:, 0] - self.xs[0]) / self.hx
+        fy = (points[:, 1] - self.ys[0]) / self.hy
+        i = np.clip(np.floor(fx).astype(int), 0, len(self.xs) - 2)
+        j = np.clip(np.floor(fy).astype(int), 0, len(self.ys) - 2)
+        return i, j, fx - i, fy - j
+
     def _evaluate(self, grid: np.ndarray, points: np.ndarray) -> np.ndarray:
-        out = np.empty(len(points))
-        nx, ny = grid.shape
-        for idx_p, p in enumerate(points):
-            fx = (p[0] - self.xs[0]) / self.hx
-            fy = (p[1] - self.ys[0]) / self.hy
-            i = int(np.clip(math.floor(fx), 0, nx - 2))
-            j = int(np.clip(math.floor(fy), 0, ny - 2))
-            tx = fx - i
-            ty = fy - j
-            out[idx_p] = ((1 - tx) * (1 - ty) * grid[i, j]
-                          + tx * (1 - ty) * grid[i + 1, j]
-                          + (1 - tx) * ty * grid[i, j + 1]
-                          + tx * ty * grid[i + 1, j + 1])
-        return out
+        i, j, tx, ty = self._cell(points)
+        return ((1 - tx) * (1 - ty) * grid[i, j]
+                + tx * (1 - ty) * grid[i + 1, j]
+                + (1 - tx) * ty * grid[i, j + 1]
+                + tx * ty * grid[i + 1, j + 1])
+
+    def _gradient(self, grid: np.ndarray, points: np.ndarray) -> np.ndarray:
+        # exact derivative of the bilinear interpolant inside each cell
+        i, j, tx, ty = self._cell(points)
+        g00, g10 = grid[i, j], grid[i + 1, j]
+        g01, g11 = grid[i, j + 1], grid[i + 1, j + 1]
+        return np.stack([((1 - ty) * (g10 - g00) + ty * (g11 - g01)) / self.hx,
+                         ((1 - tx) * (g01 - g00) + tx * (g11 - g10)) / self.hy],
+                        axis=1)
 
 
 def numeric_kernels(domain: Domain,
@@ -428,12 +415,10 @@ def h_numeric(domain: Domain, x,
 
 def grad_h_numeric(domain: Domain, x,
                    cfg: NumericKernelConfig = NumericKernelConfig()) -> np.ndarray:
-    """Gradient of h by central differences of k with the source frozen."""
+    """Gradient of h, 2 grad_x k(x, y) at y = x with the source frozen.
+
+    Refuses x as ``h_numeric`` does, whose solve the gradient then reuses.
+    """
     x = np.asarray(x, float).reshape(2)
-    if not domain.contains(x):
-        raise PointOutside(f"{x} is not inside the domain")
-    ev = _shared_evaluator(domain, cfg)
-    if domain.probe(x).distance < ev.min_eval_distance:
-        raise TargetTooCloseToBoundary(
-            f"{x} is within the resolution margin {ev.min_eval_distance:g}")
-    return ev.grad_h(x)
+    h_numeric(domain, x, cfg)
+    return _shared_evaluator(domain, cfg).grad_h(x)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from dislodyn.errors import NoBoundary, ParameterOrder
 from dislodyn.geometry import (AxisAlignedPolygon, Configuration, Disk,
                                Dislocation, ExteriorDisk, HalfPlane, Plane,
                                SmoothCurveDomain, boundary_probe,
-                               in_class_C, in_class_D, min_separation)
+                               cardioid_domain, in_class_C, in_class_D,
+                               min_separation)
 
 
 def config(points, burgers=None):
@@ -103,6 +105,20 @@ class TestSmoothCurve:
         pts = cardioid.position(np.linspace(0, 2 * np.pi, 4096))
         assert pts[:, 0].min() > -1e-9 and pts[:, 0].max() < 1 + 1e-9
         assert pts[:, 1].min() > -1e-9 and pts[:, 1].max() < 1 + 1e-9
+
+    def test_cardioid_diameter_without_dense_matrix(self):
+        tracemalloc.start()
+        try:
+            dom = cardioid_domain()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a dense 2048 x 2048 distance matrix would take about 130 MB here
+        assert peak < 40e6
+        pts = dom._pts
+        dx = pts[:, 0][:, None] - pts[:, 0][None, :]
+        dy = pts[:, 1][:, None] - pts[:, 1][None, :]
+        assert dom.diameter == float(np.sqrt(dx * dx + dy * dy).max())
 
     def test_orientation_validated(self):
         with pytest.raises(ValueError):

@@ -84,6 +84,18 @@ class TestSolveK:
         assert alive <= _shared_evaluator.cache_info().maxsize
 
 
+@pytest.mark.parametrize("name", ["disk_integral", "square_grid"])
+def test_non_finite_points_refused(name, request):
+    ev = request.getfixturevalue(name)
+    inside = ev.nodes.mean(axis=0) if name == "disk_integral" else (0.5, 0.5)
+    for call in (ev.k, ev.grad_x_k):
+        for x, y in (((math.nan, 0.5), inside), (inside, (0.25, math.inf))):
+            with pytest.raises(PointOutside, match="not a finite point"):
+                call(x, y)
+    with pytest.raises(PointOutside, match="not a finite point"):
+        ev.grad_h((math.nan, 0.5))
+
+
 class TestHNumeric:
     def test_disk_matches_analytic(self, disk):
         cfg = NumericKernelConfig(boundary_nodes=128)
@@ -233,6 +245,16 @@ class TestConfig:
         b = disk_integral._density(y + 1e-15)  # rounds to the same key
         assert a is b
 
+    def test_density_cache_drops_least_recent(self, square):
+        ev = GridKernels(square, NumericKernelConfig(grid_spacing=1 / 16))
+        sources = [np.array([0.2 + 0.01 * i, 0.5]) for i in range(40)]
+        solved = [ev._density(y) for y in sources[:2]]
+        for y in sources[2:]:
+            ev._density(y)
+            assert ev._density(sources[0]) is solved[0]  # kept by every use
+        assert len(ev._cache) == ev._cache_size
+        assert ev._density(sources[1]) is not solved[1]  # dropped, solved again
+
 
 class TestNumericGreenGradients:
     def test_disk_grad_x_G_matches_analytic(self, disk, disk_integral, rng):
@@ -246,3 +268,41 @@ class TestNumericGreenGradients:
             got = disk_integral.grad_x_G(x, y)
             assert np.max(np.abs(got - ana.grad_x_G(x, y))) < 1e-6
             checked += 1
+
+
+def central_grad_k(ev, x, y, step):
+    """Central difference of numeric k in x, the source y frozen."""
+    e = np.eye(2) * step
+    return np.array([(ev.k(x + e[c], y) - ev.k(x - e[c], y)) / (2 * step)
+                     for c in range(2)])
+
+
+class TestExactGradients:
+    @pytest.mark.parametrize("name", ["disk_integral", "cardioid_integral"])
+    def test_nystrom_matches_central_difference(self, name, request, rng):
+        ev = request.getfixturevalue(name)
+        dom = ev.domain
+        step = 1e-5 * dom.diameter
+        lo, hi = np.min(ev.nodes, axis=0), np.max(ev.nodes, axis=0)
+        checked = 0
+        while checked < 20:
+            x, y = rng.uniform(lo, hi, (2, 2))
+            if not (dom.contains(x, margin=0.05) and dom.contains(y, margin=0.05)):
+                continue
+            want = central_grad_k(ev, x, y, step)
+            got = ev.grad_x_k(x, y)
+            assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+            checked += 1
+
+    def test_grid_matches_central_difference_inside_cells(self, square_grid, rng):
+        ev = square_grid
+        step = 1e-3 * ev.hx
+        for _ in range(20):
+            # a point at least a fifth of a cell from every cell edge
+            i, j = rng.integers(10, len(ev.xs) - 10, 2)
+            tx, ty = rng.uniform(0.2, 0.8, 2)
+            x = np.array([ev.xs[i] + tx * ev.hx, ev.ys[j] + ty * ev.hy])
+            y = rng.uniform(0.1, 0.9, 2)
+            want = central_grad_k(ev, x, y, step)
+            got = ev.grad_x_k(x, y)
+            assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)

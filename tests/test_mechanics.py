@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dislodyn.errors import CoincidentPoints, PointInsideDisk, PointOutside
-from dislodyn.geometry import Configuration, Disk, ExteriorDisk, HalfPlane, Plane
-from dislodyn.kernels_analytic import DiskKernels, KernelEvaluator, analytic_kernels
-from dislodyn.kernels_numeric import NumericKernelConfig, NystromKernels
+from dislodyn.geometry import (AxisAlignedPolygon, Configuration, Disk,
+                               ExteriorDisk, HalfPlane, Plane)
+from dislodyn.kernels_analytic import DiskKernels, analytic_kernels
+from dislodyn.kernels_numeric import (GridKernels, NumericKernelConfig,
+                                      NystromKernels)
 from dislodyn.mechanics import (GlideSet, energy, energy_from_arrays, forces,
                                 forces_from_arrays, mobility_glide,
                                 mobility_identity)
@@ -254,6 +256,9 @@ BATCHED_CASES = {
               lambda rng: rng.uniform(-2, 2, 2)),
     "nystrom_disk": (lambda: NystromKernels(Disk(), NumericKernelConfig(
         boundary_nodes=64)), lambda rng: rng.uniform(-0.6, 0.6, 2)),
+    "grid_square": (lambda: GridKernels(AxisAlignedPolygon.square(),
+                                        NumericKernelConfig(grid_spacing=1 / 32)),
+                    lambda rng: rng.uniform(0.15, 0.85, 2)),
 }
 
 
@@ -302,14 +307,20 @@ class TestBatchedAssembly:
                     assemble(np.array(pts), b, ev)
                 assert named in str(exc.value)
 
-    def test_disk_forces_use_no_scalar_calls(self, monkeypatch, rng):
+    @pytest.mark.parametrize("make", [
+        lambda: DiskKernels(Disk()),
+        lambda: NystromKernels(Disk(), NumericKernelConfig(boundary_nodes=64)),
+        lambda: GridKernels(Disk(), NumericKernelConfig(grid_spacing=1 / 16)),
+    ], ids=["analytic", "nystrom", "grid"])
+    def test_disk_forces_use_no_scalar_calls(self, make, monkeypatch, rng):
         def refuse(*args):
             raise AssertionError("scalar kernel call")
 
-        for name in ("grad_x_G", "grad_x_k", "grad_h", "G", "k", "h"):
-            monkeypatch.setattr(KernelEvaluator, name, refuse)
-            monkeypatch.setattr(DiskKernels, name, refuse)
-        ev = DiskKernels(Disk())
+        ev = make()
+        for cls in type(ev).__mro__:
+            for name in ("grad_x_G", "grad_x_k", "grad_h", "G", "k", "h"):
+                if name in vars(cls):
+                    monkeypatch.setattr(cls, name, refuse)
         pts = spread_points(rng, lambda r: r.uniform(-0.65, 0.65, 2), 20)
         b = rng.choice([-1, 1], 20)
         assert np.all(np.isfinite(forces_from_arrays(pts, b, ev)))
