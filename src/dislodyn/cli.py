@@ -82,6 +82,10 @@ def cmd_kernel_probe(args) -> int:
     probe = cfg.get("probe", {})
     pts = np.asarray(probe.get("points", []), dtype=float).reshape(-1, 2)
     source = probe.get("source")
+    if source is not None:
+        source = np.asarray(source, float)
+    # checked once: an outside source refuses every row
+    source_inside = source is None or domain.contains(source)
     resolution = getattr(kernels, "resolution", 0.0)
     margin = getattr(kernels, "min_eval_distance", 0.0)
     rows = []
@@ -89,6 +93,8 @@ def cmd_kernel_probe(args) -> int:
         row = {"x": float(p[0]), "y": float(p[1]), "backend": kernels.backend,
                "resolution": resolution}
         try:
+            if not source_inside:
+                raise PointOutside(f"source {source} outside the domain")
             if not domain.contains(p):
                 raise PointOutside(f"{p} outside the domain")
             if margin > 0.0 and domain.probe(p).distance < margin:
@@ -97,8 +103,7 @@ def cmd_kernel_probe(args) -> int:
             row["h"] = kernels.h(p)
             g = kernels.grad_h(p)
             row["grad_h_x"], row["grad_h_y"] = float(g[0]), float(g[1])
-            row["k"] = kernels.k(p, np.asarray(source, float)) \
-                if source is not None else row["h"]
+            row["k"] = kernels.k(p, source) if source is not None else row["h"]
             row["refused"] = ""
         except Exception as exc:  # per-point refusals recorded, not fatal
             row.setdefault("h", "")

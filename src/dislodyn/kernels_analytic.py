@@ -54,7 +54,16 @@ _TWO_PI = 2.0 * math.pi
 
 
 def _vec(x) -> np.ndarray:
-    return np.asarray(x, dtype=float).reshape(2)
+    """A point as a length-2 array; a non-finite point is refused before any
+    arithmetic on it, as on the batched path."""
+    p = np.asarray(x, dtype=float).reshape(2)
+    if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+        raise PointOutside(_not_finite(p))
+    return p
+
+
+def _not_finite(p) -> str:
+    return f"{_point(p)} is not a finite point"
 
 
 def _point(p) -> str:
@@ -154,7 +163,7 @@ class KernelEvaluator:
         z = np.ascontiguousarray(positions, dtype=float).view(complex)[:, 0]
         finite = np.isfinite(z)
         if not finite.all():
-            raise PointOutside(f"{_point(z[np.argmin(finite)])} is not a finite point")
+            raise PointOutside(_not_finite(z[np.argmin(finite)]))
         return z
 
     @staticmethod
@@ -309,16 +318,21 @@ class PlaneKernels(KernelEvaluator):
     def __init__(self, domain: Plane | None = None):
         self.domain = domain if domain is not None else Plane()
 
+    # the points are still parsed, so that a non-finite one is refused
     def k(self, x, y) -> float:
+        _vec(x), _vec(y)
         return 0.0
 
     def grad_x_k(self, x, y) -> np.ndarray:
+        _vec(x), _vec(y)
         return np.zeros(2)
 
     def h(self, x) -> float:
+        _vec(x)
         return 0.0
 
     def grad_h(self, x) -> np.ndarray:
+        _vec(x)
         return np.zeros(2)
 
     def _k_pairs(self, z: np.ndarray) -> np.ndarray:

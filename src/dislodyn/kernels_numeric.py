@@ -12,18 +12,22 @@ regular part k(., y):
 * ``grid`` -- 5-point finite differences on a uniform grid over the
   bounding box with Dirichlet data transplanted from the nearest boundary
   point; the sparse matrix is factorized once, evaluation interpolates
-  bilinearly.
+  bilinearly between the four corners of the target's cell.  A source only
+  costs its boundary data: each interior node keeps one short adjoint row,
+  solved on first use and cached per node (LRU, never more memory than 32
+  full-grid solutions), whose dot product with the data is the node value.
 
 ``h`` is k(x, x) and ``grad h = 2 grad_x k(x, y)|_{y=x}``, where each
 backend differentiates its own solution exactly: the double layer in closed
 form, the grid's bilinear interpolant cell by cell.  A backend evaluates one
-source's solution at an array of targets, so the batched methods cost one
-solve per source.  Solutions are cached per source point (rounded to
-1e-12).  Below roughly one mesh width from the boundary the quadrature
-cannot resolve the boundary data; the public ``solve_k`` refuses such
-targets, while the evaluator used by the dynamics falls back to best-effort
-values (with the nearest-density subtraction that keeps near-boundary
-evaluation usable).
+source's data at an array of targets, so the batched methods cost one
+density solve (Nystrom) or one boundary-data evaluation (grid) per source.
+Per-source data are cached (rounded to 1e-12).  The scalar methods refuse
+a point outside the domain; the batched path does no side check.  Below
+roughly one mesh width from the boundary the quadrature cannot resolve the
+boundary data; the public ``solve_k`` refuses such targets, while the
+evaluator used by the dynamics falls back to best-effort values (with the
+nearest-density subtraction that keeps near-boundary evaluation usable).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import (PointOutside, SolverDivergence, TargetTooCloseToBoundary)
 from .geometry import (AxisAlignedPolygon, Disk, Domain, SmoothCurveDomain)
-from .kernels_analytic import KernelEvaluator, _as_real, _vec
+from .kernels_analytic import KernelEvaluator, _as_real, _point, _vec
 
 __all__ = [
     "NumericKernelConfig",
@@ -73,16 +77,23 @@ class NumericKernelConfig:
 class _NumericBase(KernelEvaluator):
     backend = "numeric"
     resolution = 0.0
-    _cache_size = 256  # source solutions kept per evaluator
+    _cache_size = 256  # per-source data kept per evaluator
 
-    # a non-finite point is refused here as on the batched path
     def k(self, x, y) -> float:
-        x, y = _as_real(self._finite([_vec(x), _vec(y)]))
+        x, y = self._inside(x), self._inside(y)
         return float(self._evaluate(self._density(y), x[None, :])[0])
 
     def grad_x_k(self, x, y) -> np.ndarray:
-        x, y = _as_real(self._finite([_vec(x), _vec(y)]))
+        x, y = self._inside(x), self._inside(y)
         return self._gradient(self._density(y), x[None, :])[0]
+
+    def _inside(self, p) -> np.ndarray:
+        """A scalar method's point, refused unless finite and in the domain:
+        the backends would extrapolate past the boundary without a word."""
+        p = _vec(p)
+        if not self.domain.contains(p):
+            raise PointOutside(f"{_point(p)} is not inside the domain")
+        return p
 
     def h(self, x) -> float:
         return self.k(x, x)
@@ -92,8 +103,8 @@ class _NumericBase(KernelEvaluator):
         return 2.0 * self.grad_x_k(x, x)
 
     def _per_source(self, hook, z: np.ndarray) -> np.ndarray:
-        """hook(solution for z_j, all n points) in column j: one density
-        solve per source and no side check, as on the scalar path."""
+        """hook(data for z_j, all n points) in column j: the data of each
+        source once and no side check, unlike the scalar path."""
         pts = _as_real(z)
         return np.stack([hook(self._density(y), pts) for y in pts], axis=1)
 
@@ -109,8 +120,8 @@ class _NumericBase(KernelEvaluator):
         return self._per_source(self._gradient, z).view(complex)[..., 0]
 
     def _density(self, y: np.ndarray):
-        """The solution for source y, kept in an LRU cache keyed by y
-        rounded to 1e-12."""
+        """The backend's data for source y (its solution, or its boundary
+        data), kept in an LRU cache keyed by y rounded to 1e-12."""
         key = (round(float(y[0]), 12), round(float(y[1]), 12))
         sol = self._cache.pop(key, None)
         if sol is None:
@@ -233,10 +244,18 @@ class NystromKernels(_NumericBase):
 
 
 class GridKernels(_NumericBase):
-    """5-point finite-difference backend on the bounding box of the domain."""
+    """5-point finite-difference backend on the bounding box of the domain.
+
+    With A the interior matrix, the boundary data of source y enter the
+    right-hand side as S g(y), g(y) = log|p_c - y| / (2 pi) at the boundary
+    point p_c of each coupling c.  The value at interior node r is then
+    u_r = (A^-T e_r)^T S g(y) = row_r . g(y), with row_r = (A^-T e_r)
+    restricted to the coupled rows and scaled by their coefficients.  A
+    source only costs g(y); each node's row is solved once, on first use,
+    and kept in an LRU cache keyed by the node index.
+    """
 
     backend = "grid"
-    _cache_size = 32  # full-grid solutions are large; keep the cache shallow
 
     def __init__(self, domain: Domain, cfg: NumericKernelConfig = NumericKernelConfig()):
         if not domain.bounded:
@@ -309,29 +328,55 @@ class GridKernels(_NumericBase):
         self._b_points = np.array([self.proj[a, b] for a, b, _ in b_nodes])
         self._b_coefs = np.array([c for _, _, c in b_nodes])
         self._interior_index = idx
-        self._ii, self._jj = ii, jj
         self._cache = {}
+        self._rows = {}  # node index -> adjoint row; the last is the most recent
+        # the rows never take more memory than 32 full-grid solutions
+        self._rows_cap = 32 * nx * ny // len(self._b_rows)
         self.resolution = self.h_grid
         self.min_eval_distance = 2.0 * self.h_grid
 
-    def _solve(self, y: np.ndarray) -> np.ndarray:
-        """Full grid of k(., y) values (interior solve + transplanted data)."""
-        # Dirichlet values at the projections of all non-interior nodes
-        gb = np.log(np.hypot(self._b_points[:, 0] - y[0],
-                             self._b_points[:, 1] - y[1])) / _TWO_PI
-        rhs = np.zeros(self._matrix.shape[0])
-        np.add.at(rhs, self._b_rows, self._b_coefs * gb)
-        u = self._lu.solve(rhs)
-        resid = float(np.max(np.abs(self._matrix @ u - rhs)))
-        scale = 1.0 + float(np.max(np.abs(rhs)))
-        if not resid <= max(self.cfg.solve_tol, 1e-9) * scale:
-            raise SolverDivergence(f"grid solve residual {resid:g}")
-        grid = np.empty(self.inside.shape)
-        out = ~self.inside
-        grid[out] = np.log(np.hypot(self.proj[out][:, 0] - y[0],
-                                    self.proj[out][:, 1] - y[1])) / _TWO_PI
-        grid[self._ii, self._jj] = u
-        return grid
+    def _solve(self, y: np.ndarray):
+        """Source data: y, and the Dirichlet value g(y) at every coupling."""
+        return y.copy(), np.log(np.hypot(self._b_points[:, 0] - y[0],
+                                  self._b_points[:, 1] - y[1])) / _TWO_PI
+
+    def _node_rows(self, nodes: np.ndarray) -> np.ndarray:
+        """The adjoint rows of the given interior nodes, one per line.  The
+        missing ones are solved together, each checked for its residual."""
+        rows = self._rows
+        missing = sorted(set(nodes.tolist()).difference(rows))
+        if missing:
+            e = np.zeros((self._matrix.shape[0], len(missing)))
+            e[missing, np.arange(len(missing))] = 1.0
+            z = self._lu.solve(e, trans="T")
+            resid = float(np.max(np.abs(self._matrix.T @ z - e)))
+            if not resid <= max(self.cfg.solve_tol, 1e-9) * 2.0:
+                raise SolverDivergence(f"grid adjoint row residual {resid:g}")
+            new = (z[self._b_rows] * self._b_coefs[:, None]).T
+            for r, row in zip(missing, new):
+                rows[r] = row.copy()  # a row must not pin the whole block
+        out = np.empty((len(nodes), len(self._b_rows)))
+        for n, r in enumerate(nodes.tolist()):
+            out[n] = rows[r] = rows.pop(r)
+        while len(rows) > self._rows_cap:
+            del rows[next(iter(rows))]
+        return out
+
+    def _corners(self, source, points: np.ndarray):
+        """k(., y) at the corners 00, 10, 01, 11 of each point's cell, shape
+        (4, m), and the point's position (tx, ty) in the cell.  A corner
+        outside the domain takes the transplanted Dirichlet value."""
+        y, gb = source
+        i, j, tx, ty = self._cell(points)
+        a = i + np.array([0, 1, 0, 1])[:, None]
+        b = j + np.array([0, 0, 1, 1])[:, None]
+        node = self._interior_index[a, b]
+        vals = np.empty(node.shape)
+        inner = node >= 0
+        vals[inner] = self._node_rows(node[inner]) @ gb
+        p = self.proj[a[~inner], b[~inner]]
+        vals[~inner] = np.log(np.hypot(p[:, 0] - y[0], p[:, 1] - y[1])) / _TWO_PI
+        return vals, tx, ty
 
     def _cell(self, points: np.ndarray):
         """Lower-left node (i, j) of each point's cell and the point's
@@ -342,18 +387,14 @@ class GridKernels(_NumericBase):
         j = np.clip(np.floor(fy).astype(int), 0, len(self.ys) - 2)
         return i, j, fx - i, fy - j
 
-    def _evaluate(self, grid: np.ndarray, points: np.ndarray) -> np.ndarray:
-        i, j, tx, ty = self._cell(points)
-        return ((1 - tx) * (1 - ty) * grid[i, j]
-                + tx * (1 - ty) * grid[i + 1, j]
-                + (1 - tx) * ty * grid[i, j + 1]
-                + tx * ty * grid[i + 1, j + 1])
+    def _evaluate(self, source, points: np.ndarray) -> np.ndarray:
+        (g00, g10, g01, g11), tx, ty = self._corners(source, points)
+        return ((1 - tx) * (1 - ty) * g00 + tx * (1 - ty) * g10
+                + (1 - tx) * ty * g01 + tx * ty * g11)
 
-    def _gradient(self, grid: np.ndarray, points: np.ndarray) -> np.ndarray:
+    def _gradient(self, source, points: np.ndarray) -> np.ndarray:
         # exact derivative of the bilinear interpolant inside each cell
-        i, j, tx, ty = self._cell(points)
-        g00, g10 = grid[i, j], grid[i + 1, j]
-        g01, g11 = grid[i, j + 1], grid[i + 1, j + 1]
+        (g00, g10, g01, g11), tx, ty = self._corners(source, points)
         return np.stack([((1 - ty) * (g10 - g00) + ty * (g11 - g01)) / self.hx,
                          ((1 - tx) * (g01 - g00) + tx * (g11 - g10)) / self.hy],
                         axis=1)

@@ -301,3 +301,16 @@ class TestKernelProbe:
                                                abs=1e-3)
         refused = rows[2]
         assert refused[-1] != ""  # refusal recorded, command still exits 0
+
+    def test_outside_source_refuses_every_row(self, tmp_path):
+        cfgp = write_config(tmp_path, "p.json", {
+            "domain": {"kind": "polygon",
+                       "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]},
+            "kernel": {"backend": "grid", "grid_spacing": 1 / 16},
+            "probe": {"points": [[0.5, 0.5], [0.3, 0.6]], "source": [5.0, 0.5]}})
+        out = str(tmp_path / "po")
+        assert main(["kernel-probe", "--config", cfgp, "--out", out]) == 0
+        with open(os.path.join(out, "kernel_probe.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["refused"] for r in rows] == ["PointOutside"] * 2
+        assert all(r["k"] == r["h"] == "" for r in rows)

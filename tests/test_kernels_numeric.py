@@ -5,10 +5,14 @@ import weakref
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.sparse.linalg import spsolve
 
-from dislodyn.errors import PointOutside, TargetTooCloseToBoundary
-from dislodyn.geometry import _CARDIOID_A, AxisAlignedPolygon, Disk
-from dislodyn.kernels_analytic import DiskKernels
+from dislodyn.errors import (PointOutside, SolverDivergence,
+                             TargetTooCloseToBoundary)
+from dislodyn.geometry import (_CARDIOID_A, AxisAlignedPolygon, Disk,
+                               ExteriorDisk, HalfPlane)
+from dislodyn.kernels_analytic import (DiskKernels, ExteriorDiskKernels,
+                                       HalfPlaneKernels, PlaneKernels)
 from dislodyn.kernels_numeric import (GridKernels, NumericKernelConfig,
                                       NystromKernels, _shared_evaluator,
                                       grad_h_numeric, h_numeric, solve_k)
@@ -84,16 +88,136 @@ class TestSolveK:
         assert alive <= _shared_evaluator.cache_info().maxsize
 
 
-@pytest.mark.parametrize("name", ["disk_integral", "square_grid"])
+# closed-form evaluators for the non-finite test, each with a point inside
+CLOSED_FORMS = {
+    "disk": (lambda: DiskKernels(Disk()), (0.2, 0.1)),
+    "exterior_disk": (lambda: ExteriorDiskKernels(ExteriorDisk()), (2.0, 0.5)),
+    "half_plane": (lambda: HalfPlaneKernels(HalfPlane.upper()), (0.3, 0.5)),
+    "plane": (lambda: PlaneKernels(), (0.3, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", ["disk_integral", "square_grid", *CLOSED_FORMS])
 def test_non_finite_points_refused(name, request):
-    ev = request.getfixturevalue(name)
-    inside = ev.nodes.mean(axis=0) if name == "disk_integral" else (0.5, 0.5)
-    for call in (ev.k, ev.grad_x_k):
-        for x, y in (((math.nan, 0.5), inside), (inside, (0.25, math.inf))):
+    if name in CLOSED_FORMS:
+        make, inside = CLOSED_FORMS[name]
+        ev = make()
+    else:
+        ev = request.getfixturevalue(name)
+        inside = ev.nodes.mean(axis=0) if name == "disk_integral" else (0.5, 0.5)
+    for bad in (math.nan, math.inf):
+        for call in (ev.k, ev.grad_x_k, ev.G, ev.grad_x_G, ev.grad_y_G):
+            for x, y in (((bad, 0.5), inside), (inside, (0.25, bad))):
+                with pytest.raises(PointOutside, match="not a finite point"):
+                    call(x, y)
+        for call in (ev.h, ev.grad_h):
             with pytest.raises(PointOutside, match="not a finite point"):
+                call((bad, 0.5))
+
+
+@pytest.mark.parametrize("name", ["disk_integral", "square_grid"])
+def test_numeric_scalar_methods_refuse_outside_points(name, request):
+    ev = request.getfixturevalue(name)
+    inside, outside = ((0.2, 0.1), (1.5, 0.0)) if name == "disk_integral" \
+        else ((0.5, 0.5), (5.0, 0.5))
+    for call in (ev.k, ev.grad_x_k, ev.G, ev.grad_x_G):
+        for x, y in ((outside, inside), (inside, outside)):
+            with pytest.raises(PointOutside, match="not inside the domain"):
                 call(x, y)
-    with pytest.raises(PointOutside, match="not a finite point"):
-        ev.grad_h((math.nan, 0.5))
+    for call in (ev.h, ev.grad_h):
+        with pytest.raises(PointOutside, match="not inside the domain"):
+            call(outside)
+
+
+def full_grid(ev, y):
+    """k(., y) at every node of the grid from one direct sparse solve with
+    the transplanted boundary data: the reference for the adjoint rows."""
+    y = np.asarray(y, float)
+    gb = np.log(np.hypot(*(ev._b_points - y).T)) / TWO_PI
+    rhs = np.zeros(ev._matrix.shape[0])
+    np.add.at(rhs, ev._b_rows, ev._b_coefs * gb)
+    grid = np.log(np.hypot(ev.proj[..., 0] - y[0], ev.proj[..., 1] - y[1])) / TWO_PI
+    grid[ev.inside] = spsolve(ev._matrix, rhs)
+    return grid
+
+
+def bilinear(ev, grid, x):
+    """Value and gradient at x of the bilinear interpolant of node values."""
+    fx, fy = (x[0] - ev.xs[0]) / ev.hx, (x[1] - ev.ys[0]) / ev.hy
+    i, j = int(fx), int(fy)
+    tx, ty = fx - i, fy - j
+    g00, g10, g01, g11 = grid[i, j], grid[i + 1, j], grid[i, j + 1], grid[i + 1, j + 1]
+    value = ((1 - tx) * (1 - ty) * g00 + tx * (1 - ty) * g10
+             + (1 - tx) * ty * g01 + tx * ty * g11)
+    grad = np.array([((1 - ty) * (g10 - g00) + ty * (g11 - g01)) / ev.hx,
+                     ((1 - tx) * (g01 - g00) + tx * (g11 - g10)) / ev.hy])
+    return value, grad, (i, j)
+
+
+class CountingLU:
+    """Forwards to a factor and counts the right-hand sides it solves."""
+
+    def __init__(self, lu):
+        self.lu, self.columns = lu, 0
+
+    def solve(self, rhs, trans="N"):
+        self.columns += rhs.shape[1] if rhs.ndim == 2 else 1
+        return self.lu.solve(rhs, trans=trans)
+
+
+class GarbageLU:
+    def solve(self, rhs, trans="N"):
+        return np.ones_like(rhs)
+
+
+class TestGridRows:
+    @pytest.mark.parametrize("domain, spacing", [
+        (AxisAlignedPolygon.square(), 1 / 64), (Disk(), 1 / 32)])
+    def test_rows_match_direct_solve(self, domain, spacing, rng):
+        ev = GridKernels(domain, NumericKernelConfig(grid_spacing=spacing))
+        lo, hi = np.array([ev.xs[0], ev.ys[0]]), np.array([ev.xs[-1], ev.ys[-1]])
+        outside_corner = 0
+        checked = 0
+        while checked < 30:
+            x, y = rng.uniform(lo, hi, (2, 2))
+            if checked % 2:  # every other target within 1.5 cells of the boundary
+                x = domain.probe(x).point + rng.uniform(-1.5, 1.5, 2) * ev.h_grid
+            if not (domain.contains(x) and domain.contains(y)):
+                continue
+            value, grad, (i, j) = bilinear(ev, full_grid(ev, y), x)
+            assert abs(ev.k(x, y) - value) <= 1e-12
+            assert np.max(np.abs(ev.grad_x_k(x, y) - grad)) <= 1e-12
+            outside_corner += not ev.inside[i:i + 2, j:j + 2].all()
+            checked += 1
+        assert outside_corner >= 5
+
+    def test_one_target_solves_at_most_four_rows(self, square, rng):
+        ev = GridKernels(square, NumericKernelConfig(grid_spacing=1 / 16))
+        ev._lu = CountingLU(ev._lu)
+        x = (0.43, 0.57)
+        for y in rng.uniform(0.1, 0.9, (10, 2)):
+            ev.k(x, y)
+        assert 0 < ev._lu.columns <= 4
+
+    def test_row_cache_drops_least_recent(self, square):
+        ev = GridKernels(square, NumericKernelConfig(grid_spacing=1 / 16))
+        cap = 32 * len(ev.xs) * len(ev.ys) // len(ev._b_rows)
+        assert ev._rows_cap == cap
+        y = (0.3, 0.6)
+        nodes = np.stack(np.meshgrid(ev.xs, ev.ys, indexing="ij"), axis=-1)
+        targets = nodes[ev.inside] + 0.25 * ev.hx
+        assert len(targets) > cap
+        for p in targets:
+            ev.k(p, y)
+        assert len(ev._rows) == cap
+        first, last = ev._interior_index[1, 1], ev._interior_index[-2, -2]
+        assert first not in ev._rows and last in ev._rows
+
+    def test_corrupted_factor_diverges(self, square):
+        ev = GridKernels(square, NumericKernelConfig(grid_spacing=1 / 16))
+        ev._lu = GarbageLU()
+        with pytest.raises(SolverDivergence, match="residual"):
+            ev.k((0.4, 0.5), (0.6, 0.5))
 
 
 class TestHNumeric:
@@ -201,13 +325,15 @@ class TestConvergence:
             v = disk_integral.k(p, y)
             assert lo <= v <= hi
 
-    def test_maximum_principle_grid(self, square_grid):
+    def test_maximum_principle_grid(self, square):
         # the 5-point scheme is an M-matrix: discrete extrema sit on the
         # transplanted boundary data
+        ev = GridKernels(square, NumericKernelConfig(grid_spacing=1 / 32))
         y = np.array([0.3, 0.6])
-        grid = square_grid._density(y)
-        boundary_vals = grid[~square_grid.inside]
-        interior_vals = grid[square_grid.inside]
+        nodes = np.stack(np.meshgrid(ev.xs, ev.ys, indexing="ij"), axis=-1)
+        interior_vals = np.array([ev.k(p, y) for p in nodes[ev.inside]])
+        proj = ev.proj[~ev.inside]
+        boundary_vals = np.log(np.hypot(*(proj - y).T)) / TWO_PI
         assert interior_vals.max() <= boundary_vals.max() + 1e-10
         assert interior_vals.min() >= boundary_vals.min() - 1e-10
 
@@ -246,8 +372,9 @@ class TestConfig:
         assert a is b
 
     def test_density_cache_drops_least_recent(self, square):
-        ev = GridKernels(square, NumericKernelConfig(grid_spacing=1 / 16))
-        sources = [np.array([0.2 + 0.01 * i, 0.5]) for i in range(40)]
+        ev = NystromKernels(square, NumericKernelConfig(boundary_nodes=64))
+        n = ev._cache_size + 8
+        sources = [np.array([0.2 + 0.6 * i / n, 0.5]) for i in range(n)]
         solved = [ev._density(y) for y in sources[:2]]
         for y in sources[2:]:
             ev._density(y)
