@@ -4,8 +4,8 @@ bounds and closed-form oracles."""
 
 from .geometry import (AxisAlignedPolygon, BoundaryProbe, Configuration, Disk,
                        Dislocation, ExteriorDisk, HalfPlane, Plane,
-                       SmoothCurveDomain, boundary_probe, cardioid_domain,
-                       in_class_C, in_class_D, min_separation)
+                       SmoothCurveDomain, cardioid_domain, in_class_C,
+                       in_class_D, min_separation)
 from .kernels_analytic import (DiskKernels, ExteriorDiskKernels,
                                HalfPlaneKernels, KernelEvaluator, PlaneKernels,
                                analytic_kernels)

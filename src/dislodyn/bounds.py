@@ -219,14 +219,15 @@ def boundary_scenario(n: int, rho: float, sigma: float, delta0: float,
     if n < 1:
         raise ValueError("need n >= 1")
     violations = []
-    if not delta0 < gamma0 / 4.0:
+    separated = delta0 < gamma0 / 4.0
+    if not separated:
         violations.append("delta0 >= gamma0/4")
     if not delta0 <= sigma * rho:
         violations.append("delta0 > sigma*rho")
 
     constants = {"C_sigma": c_sigma(sigma)}
     c = None
-    if "delta0 >= gamma0/4" not in violations:
+    if separated:
         c = _c_delta(n, rho, delta0, gamma0, sigma)
         constants["c_delta0"] = c
         if c >= 1.0:
@@ -300,7 +301,8 @@ def pair_scenario(n: int, diam: float, eta0: float, zeta0: float) -> BoundReport
     if not eta0 < diam / 2.0:
         violations.append("eta0 >= diam/2")
     zeta_max = eta0 * (math.sqrt((n - 2) ** 2 + 2.0) - (n - 2)) / 4.0
-    if not zeta0 < zeta_max:
+    close = zeta0 < zeta_max
+    if not close:
         violations.append("zeta0 >= eta0*(sqrt((n-2)^2+2)-(n-2))/4")
 
     c = 8.0 * zeta0**2 / eta0**2 + 4.0 * (n - 2) * zeta0 / eta0
@@ -310,14 +312,15 @@ def pair_scenario(n: int, diam: float, eta0: float, zeta0: float) -> BoundReport
         lam = abs(math.log(diam / 2.0))
         constants["lambda_domain"] = lam
         constants["Lambda_domain"] = 2.0 * (n - 3 + lam)
-    if c >= 1.0:
+    c_too_large = c >= 1.0
+    if c_too_large:
         violations.append("c(zeta0) >= 1")
 
     t_bound = None
     window = None
     lhs = rhs = None
     verdict = "not-applicable"
-    if "c(zeta0) >= 1" not in violations and "zeta0 >= eta0*(sqrt((n-2)^2+2)-(n-2))/4" not in violations:
+    if close and not c_too_large:
         t_bound = math.pi * zeta0**2 / (2.0 * (1.0 - c))
         constants["t_bound_alt"] = (
             math.pi * zeta0**2 * eta0**2

@@ -188,21 +188,21 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="dislodyn",
         description="Gradient-flow dynamics of 2D screw dislocations")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the master seed")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--format", choices=("csv", "json"), default="json")
-
+    commands = {}
     for name, fn in (("simulate", cmd_simulate), ("ensemble", cmd_ensemble),
                      ("kernel-probe", cmd_kernel_probe),
                      ("bounds", cmd_bounds), ("oracle", cmd_oracle)):
-        p = sub.add_parser(name)
-        common(p)
+        p = commands[name] = sub.add_parser(name)
+        p.add_argument("--config", required=True, help="JSON config path")
+        p.add_argument("--out", default=None, help="output directory")
         p.set_defaults(func=fn)
+    # each flag only where its command reads it
+    for name in ("simulate", "ensemble"):
+        commands[name].add_argument("--seed", type=int, default=None,
+                                    help="override the master seed")
+        commands[name].add_argument("--format", choices=("csv", "json"),
+                                    default="json")
+    commands["ensemble"].add_argument("--workers", type=int, default=1)
     return parser
 
 

@@ -242,14 +242,15 @@ def sample_class_D(rng: np.random.Generator, domain: Domain, n: int,
     return config
 
 
+def _dislocation_columns(n: int) -> list[str]:
+    return [f"{c}{i}" for i in range(1, n + 1) for c in "xyb"]
+
+
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     n = traj.states.shape[1]
-    header = ["t"]
-    for i in range(1, n + 1):
-        header += [f"x{i}", f"y{i}", f"b{i}"]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(header)
+        w.writerow(["t"] + _dislocation_columns(n))
         for t, z in zip(traj.times, traj.states):
             row = [repr(float(t))]
             for i in range(n):
@@ -433,20 +434,18 @@ def run_ensemble(cfg: dict, out_dir: str | None = None,
         with open(os.path.join(out_dir, "runs.csv"), "w", newline="",
                   encoding="utf-8") as fh:
             w = csv.writer(fh)
-            w.writerow(["run", "kind", "raw_time", "corrected_time",
-                        "b2", "x1", "y1", "x2", "y2", "n_samples"])
+            n = len(records[0]["initial"]) if records else 0
+            w.writerow(["run", "kind", "raw_time", "corrected_time"]
+                       + _dislocation_columns(n) + ["n_samples"])
             for r in records:
-                init = r["initial"]
+                starts = [v for (x, y), b in zip(r["initial"], r["burgers"])
+                          for v in (repr(x), repr(y), str(b))]
                 w.writerow([
                     r["run"], r["termination"]["kind"],
                     "" if r["raw_time"] is None else repr(float(r["raw_time"])),
                     "" if r["corrected_time"] is None
                     else repr(float(r["corrected_time"])),
-                    r["burgers"][1] if len(r["burgers"]) > 1 else "",
-                    repr(init[0][0]), repr(init[0][1]),
-                    repr(init[1][0]) if len(init) > 1 else "",
-                    repr(init[1][1]) if len(init) > 1 else "",
-                    r["n_samples"],
+                    *starts, r["n_samples"],
                 ])
         with open(os.path.join(out_dir, "histogram.csv"), "w", newline="",
                   encoding="utf-8") as fh:

@@ -10,7 +10,15 @@ can be shared freely between concurrent workers.  Every domain answers
 
 plus the scalar descriptors ``diameter`` and ``disk_radius`` (the radius of
 the uniform interior/exterior tangent disks; infinite for flat boundaries,
-undefined for polygons).
+undefined for polygons).  The bounded domains and the exterior disk also
+answer ``contains_many(points)``, the interior test of an (m, 2) array.
+
+Each query has one body.  ``Disk`` and ``ExteriorDisk`` share theirs and
+differ only in the sign of the side they keep; the smooth curve and the
+polygon test containment with one even-odd ray cast against a closed
+polyline; the polygon projects points onto all its edges in one (m, E)
+pass; and ``min_separation``, ``in_class_D`` and ``in_class_C`` take their
+distances to the event set from one function.
 """
 
 from __future__ import annotations
@@ -34,7 +42,6 @@ __all__ = [
     "AxisAlignedPolygon",
     "Dislocation",
     "Configuration",
-    "boundary_probe",
     "min_separation",
     "in_class_D",
     "in_class_C",
@@ -49,6 +56,23 @@ def _as_point(x) -> np.ndarray:
     if p.shape != (2,):
         raise ValueError(f"expected a 2D point, got shape {p.shape}")
     return p
+
+
+def _odd_crossings(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Even-odd ray cast of (m, 2) points against a closed polyline, given
+    as (E, 2 endpoints, 2) ``edges``: True where a ray to +x crosses it an
+    odd number of times.  Points go 512 at a time, so a dense curve needs
+    no (m, E) temporaries."""
+    (vx, vy), (wx, wy) = edges[:, 0].T, edges[:, 1].T
+    out = np.empty(len(points), dtype=bool)
+    for s in range(0, len(points), 512):
+        px = points[s:s + 512, :1]
+        py = points[s:s + 512, 1:]
+        cond = (vy > py) != (wy > py)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xs = vx + (py - vy) * (wx - vx) / (wy - vy)
+        out[s:s + 512] = np.sum(cond & (xs > px), axis=1) % 2 == 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -92,88 +116,76 @@ class Domain:
     def contains(self, x, margin: float = 0.0) -> bool:
         return self.signed_distance(x) > margin
 
-    def contains_many(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized strict-interior test; subclasses override when cheap."""
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        return np.array([self.contains(p) for p in pts], dtype=bool)
-
     def probe(self, x) -> BoundaryProbe:
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
-class Disk(Domain):
+class _RoundDomain(Domain):
+    """One side of a circle: ``_side`` is +1 for the disk, -1 for its exterior.
+
+    The kernels and the samplers dispatch on ``isinstance(domain, Disk)``, so
+    the two sides share this base and neither subclasses the other.
+    """
+
     center: tuple[float, float] = (0.0, 0.0)
     radius: float = 1.0
+    _side = 1.0
 
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError("disk radius must be strictly positive")
+        # the centre as an array, so queries convert no tuple per call
+        object.__setattr__(self, "_c", np.asarray(self.center, dtype=float))
+
+    @property
+    def disk_radius(self) -> float:
+        return self.radius
+
+    def signed_distance(self, x) -> float:
+        u = _as_point(x) - self._c
+        # a difference, not side * (radius - r): on the circle both sides
+        # give +0.0
+        side = self._side
+        return side * self.radius - side * math.hypot(u[0], u[1])
+
+    def contains_many(self, points: np.ndarray) -> np.ndarray:
+        pts = np.asarray(points, dtype=float).reshape(-1, 2) - self._c
+        return self._side * (self.radius - np.hypot(pts[:, 0], pts[:, 1])) > 0.0
+
+    def probe(self, x) -> BoundaryProbe:
+        u = _as_point(x) - self._c
+        r = math.hypot(u[0], u[1])
+        side = self._side
+        if r == 0.0:
+            # every boundary point is nearest; return an arbitrary one
+            s = self._c + (self.radius, 0.0)
+            return BoundaryProbe(self.radius, s, np.array([side, 0.0]),
+                                 side / self.radius, ambiguous=True)
+        # the outward normal of the exterior points into the removed disk;
+        # dividing by -r negates u / r exactly
+        nu = u / (side * r)
+        return BoundaryProbe(abs(self.radius - r), self._c + (side * self.radius) * nu,
+                             nu, side / self.radius)
+
+
+class Disk(_RoundDomain):
+    """Open disk of ``radius`` about ``center``."""
 
     @property
     def diameter(self) -> float:
         return 2.0 * self.radius
 
-    @property
-    def disk_radius(self) -> float:
-        return self.radius
 
-    def signed_distance(self, x) -> float:
-        u = _as_point(x) - self.center
-        return self.radius - math.hypot(u[0], u[1])
-
-    def contains_many(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float).reshape(-1, 2) - self.center
-        return np.hypot(pts[:, 0], pts[:, 1]) < self.radius
-
-    def probe(self, x) -> BoundaryProbe:
-        u = _as_point(x) - self.center
-        r = math.hypot(u[0], u[1])
-        if r == 0.0:
-            # every boundary point is nearest; return an arbitrary one
-            s = np.array(self.center) + (self.radius, 0.0)
-            return BoundaryProbe(self.radius, s, np.array([1.0, 0.0]),
-                                 1.0 / self.radius, ambiguous=True)
-        nu = u / r
-        s = np.array(self.center) + self.radius * nu
-        return BoundaryProbe(abs(self.radius - r), s, nu, 1.0 / self.radius)
-
-
-@dataclass(frozen=True)
-class ExteriorDisk(Domain):
+class ExteriorDisk(_RoundDomain):
     """Complement of a closed disk; the domain is unbounded."""
 
-    center: tuple[float, float] = (0.0, 0.0)
-    radius: float = 1.0
     bounded = False
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("disk radius must be strictly positive")
+    _side = -1.0
 
     @property
     def diameter(self) -> float:
         return math.inf
-
-    @property
-    def disk_radius(self) -> float:
-        return self.radius
-
-    def signed_distance(self, x) -> float:
-        u = _as_point(x) - self.center
-        return math.hypot(u[0], u[1]) - self.radius
-
-    def probe(self, x) -> BoundaryProbe:
-        u = _as_point(x) - self.center
-        r = math.hypot(u[0], u[1])
-        if r == 0.0:
-            s = np.array(self.center) + (self.radius, 0.0)
-            return BoundaryProbe(self.radius, s, np.array([-1.0, 0.0]),
-                                 -1.0 / self.radius, ambiguous=True)
-        nu = u / r
-        s = np.array(self.center) + self.radius * nu
-        # outward normal of the domain points into the removed disk
-        return BoundaryProbe(abs(r - self.radius), s, -nu, -1.0 / self.radius)
 
 
 @dataclass(frozen=True)
@@ -263,21 +275,15 @@ class SmoothCurveDomain(Domain):
         self.second_derivative = second_derivative
         self.name = name
         self._theta = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
-        pts = np.asarray(position(self._theta), dtype=float)
-        if pts.shape != (n_samples, 2):
-            pts = pts.T
+        # a cusp node has zero speed and no frame; its curvature is dropped
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pts, _, _, kappa, _ = self.curve_frame(self._theta)
         self._pts = pts
-        area2 = np.sum(pts[:, 0] * np.roll(pts[:, 1], -1)
-                       - np.roll(pts[:, 0], -1) * pts[:, 1])
+        w = np.roll(pts, -1, axis=0)
+        self._edges = np.stack([pts, w], axis=1)
+        area2 = np.sum(pts[:, 0] * w[:, 1] - w[:, 0] * pts[:, 1])
         if area2 <= 0:
             raise ValueError("curve must be simple, closed and counterclockwise")
-        d = derivative(self._theta)
-        dd = second_derivative(self._theta)
-        d = np.asarray(d, float).reshape(n_samples, 2)
-        dd = np.asarray(dd, float).reshape(n_samples, 2)
-        speed = np.hypot(d[:, 0], d[:, 1])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kappa = (d[:, 0] * dd[:, 1] - d[:, 1] * dd[:, 0]) / speed**3
         kappa = kappa[np.isfinite(kappa)]
         kmax = float(np.max(np.abs(kappa))) if kappa.size else 0.0
         self._rho = float(rho) if rho is not None else (
@@ -300,9 +306,13 @@ class SmoothCurveDomain(Domain):
     def curve_frame(self, theta):
         """Point, unit tangent, outward normal, curvature and speed at theta."""
         th = np.atleast_1d(np.asarray(theta, float))
-        p = np.asarray(self.position(th), float).reshape(-1, 2)
-        d = np.asarray(self.derivative(th), float).reshape(-1, 2)
-        dd = np.asarray(self.second_derivative(th), float).reshape(-1, 2)
+        p, d, dd = (np.asarray(f(th), float) for f in
+                    (self.position, self.derivative, self.second_derivative))
+        for a in (p, d, dd):
+            if a.shape != (len(th), 2):
+                raise ValueError(f"the parametrization returned shape {a.shape} "
+                                 f"for {len(th)} parameters; expected "
+                                 f"({len(th)}, 2)")
         speed = np.hypot(d[:, 0], d[:, 1])
         tangent = d / speed[:, None]
         normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
@@ -313,64 +323,43 @@ class SmoothCurveDomain(Domain):
 
     def contains(self, x, margin: float = 0.0) -> bool:
         p = _as_point(x)
-        # even-odd ray casting on the dense polyline
-        vx = self._pts[:, 0]
-        vy = self._pts[:, 1]
-        wx = np.roll(vx, -1)
-        wy = np.roll(vy, -1)
-        cond = (vy > p[1]) != (wy > p[1])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xs = vx + (p[1] - vy) * (wx - vx) / (wy - vy)
-        inside = bool(np.sum(cond & (xs > p[0])) % 2)
+        inside = bool(_odd_crossings(p[None], self._edges)[0])
         if margin > 0.0 and inside:
             return self.probe(p).distance > margin
         return inside
 
     def contains_many(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        vx = self._pts[:, 0]
-        vy = self._pts[:, 1]
-        wx = np.roll(vx, -1)
-        wy = np.roll(vy, -1)
-        out = np.empty(len(pts), dtype=bool)
-        for s in range(0, len(pts), 512):
-            chunk = pts[s:s + 512]
-            py = chunk[:, 1][:, None]
-            px = chunk[:, 0][:, None]
-            cond = (vy[None, :] > py) != (wy[None, :] > py)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xs = vx[None, :] + (py - vy[None, :]) \
-                    * (wx - vx)[None, :] / (wy - vy)[None, :]
-            out[s:s + 512] = (np.sum(cond & (xs > px), axis=1) % 2).astype(bool)
-        return out
+        return _odd_crossings(np.asarray(points, dtype=float).reshape(-1, 2),
+                              self._edges)
 
     def signed_distance(self, x) -> float:
         d = self.probe(x).distance
         return d if self.contains(x) else -d
 
-    def nearest_parameter(self, x) -> float:
-        """Parameter of the boundary point nearest to x."""
-        p = _as_point(x)
+    def _nearest(self, p: np.ndarray):
+        """Squared distances to the samples, the nearest sample's index, and
+        the parameter of the nearest boundary point refined around it."""
         d2 = np.sum((self._pts - p) ** 2, axis=1)
         k = int(np.argmin(d2))
-        n = len(self._theta)
-        step = 2.0 * np.pi / n
-        lo = self._theta[k] - step
-        hi = self._theta[k] + step
+        step = 2.0 * np.pi / len(self._theta)
 
         def f(th):
             q = np.asarray(self.position(np.atleast_1d(th)), float).reshape(-1, 2)[0]
             return (q[0] - p[0]) ** 2 + (q[1] - p[1]) ** 2
 
-        res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+        res = minimize_scalar(f, bounds=(self._theta[k] - step,
+                                         self._theta[k] + step),
+                              method="bounded",
                               options={"xatol": 1e-14 * max(1.0, self._diam)})
-        return float(res.x) % (2.0 * np.pi)
+        return d2, k, float(res.x) % (2.0 * np.pi)
+
+    def nearest_parameter(self, x) -> float:
+        """Parameter of the boundary point nearest to x."""
+        return self._nearest(_as_point(x))[2]
 
     def probe(self, x) -> BoundaryProbe:
         p = _as_point(x)
-        d2 = np.sum((self._pts - p) ** 2, axis=1)
-        k = int(np.argmin(d2))
-        theta = self.nearest_parameter(p)
+        d2, k, theta = self._nearest(p)
         q, _, normal, kappa, _ = self.curve_frame(theta)
         dist = float(np.linalg.norm(q - p))
         # ambiguity: another local minimum matching the global one
@@ -507,11 +496,11 @@ class AxisAlignedPolygon(Domain):
         if np.any(tlen == 0):
             raise ValueError("degenerate zero-length edge")
         t = t / tlen[:, None]
-        self._tangents = t
         self._normals = np.stack([t[:, 1], -t[:, 0]], axis=1)  # outward for CCW
         dx = v[:, 0][:, None] - v[:, 0][None, :]
         dy = v[:, 1][:, None] - v[:, 1][None, :]
         self._diam = float(np.sqrt(dx * dx + dy * dy).max())
+        self._tol = 1e-12 * max(1.0, self._diam)
 
     @classmethod
     def square(cls, side: float = 1.0, corner=(0.0, 0.0)) -> "AxisAlignedPolygon":
@@ -526,75 +515,43 @@ class AxisAlignedPolygon(Domain):
     def disk_radius(self) -> float:
         return math.nan
 
+    def _edge_projections(self, pts: np.ndarray):
+        """Distance from each of the (m, 2) points to each edge, the nearest
+        point of that edge and its edge parameter t, each indexed (m, E)."""
+        a = self._edges[:, 0]
+        ab = self._edges[:, 1] - a
+        rel = pts[:, None, :] - a
+        t = np.clip(np.sum(rel * ab, axis=2) / np.sum(ab * ab, axis=1), 0.0, 1.0)
+        proj = a + t[..., None] * ab
+        d = np.hypot(proj[..., 0] - pts[:, None, 0], proj[..., 1] - pts[:, None, 1])
+        return d, proj, t
+
+    def _signed_distances(self, pts: np.ndarray) -> np.ndarray:
+        # strict interior: points (numerically) on an edge count as outside
+        d = self._edge_projections(pts)[0].min(axis=1)
+        inside = _odd_crossings(pts, self._edges) & (d > self._tol)
+        return np.where(inside, d, -d)
+
+    def signed_distance(self, x) -> float:
+        return float(self._signed_distances(_as_point(x)[None])[0])
+
     def contains(self, x, margin: float = 0.0) -> bool:
-        p = _as_point(x)
-        v = self.vertices
-        w = np.roll(v, -1, axis=0)
-        cond = (v[:, 1] > p[1]) != (w[:, 1] > p[1])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xs = v[:, 0] + (p[1] - v[:, 1]) * (w[:, 0] - v[:, 0]) / (w[:, 1] - v[:, 1])
-        if not bool(np.sum(cond & (xs > p[0])) % 2):
-            return False
-        # strict interior: points (numerically) on an edge do not count
-        tol = 1e-12 * max(1.0, self._diam)
-        return self._distance(p)[0] > max(margin, tol)
+        return self.signed_distance(x) > max(margin, self._tol)
 
     def contains_many(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        v = self.vertices
-        w = np.roll(v, -1, axis=0)
-        py = pts[:, 1][:, None]
-        px = pts[:, 0][:, None]
-        cond = (v[:, 1][None, :] > py) != (w[:, 1][None, :] > py)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xs = v[:, 0][None, :] + (py - v[:, 1][None, :]) \
-                * (w[:, 0] - v[:, 0])[None, :] / (w[:, 1] - v[:, 1])[None, :]
-        inside = (np.sum(cond & (xs > px), axis=1) % 2).astype(bool)
-        dmin = np.full(len(pts), math.inf)
-        for a, b in zip(v, w):
-            ab = b - a
-            t = np.clip(((pts - a) @ ab) / float(ab @ ab), 0.0, 1.0)
-            proj = a + t[:, None] * ab
-            dmin = np.minimum(dmin, np.hypot(proj[:, 0] - pts[:, 0],
-                                             proj[:, 1] - pts[:, 1]))
-        return inside & (dmin > 1e-12 * max(1.0, self._diam))
-
-    def _distance(self, p: np.ndarray):
-        a = self._edges[:, 0]
-        b = self._edges[:, 1]
-        ab = b - a
-        denom = np.sum(ab * ab, axis=1)
-        t = np.clip(np.sum((p - a) * ab, axis=1) / denom, 0.0, 1.0)
-        proj = a + t[:, None] * ab
-        d = np.hypot(proj[:, 0] - p[0], proj[:, 1] - p[1])
-        k = int(np.argmin(d))
-        return float(d[k]), k, proj[k], t[k]
-
-    def signed_distance(self, x) -> float:
-        p = _as_point(x)
-        d, _, _, _ = self._distance(p)
-        return d if self.contains(p) else -d
+        return self._signed_distances(pts) > self._tol
 
     def probe(self, x) -> BoundaryProbe:
-        p = _as_point(x)
-        d, k, s, t = self._distance(p)
+        d, proj, t = (a[0] for a in self._edge_projections(_as_point(x)[None]))
+        k = int(np.argmin(d))
         edge_len = float(np.linalg.norm(self._edges[k, 1] - self._edges[k, 0]))
-        near_corner = min(t, 1.0 - t) * edge_len < _VERTEX_TOL
-        all_d = self._all_edge_distances(p)
-        second = np.partition(all_d, 1)[1] if len(all_d) > 1 else math.inf
-        ambiguous = (second - d) < 1e-9 * max(1.0, self._diam) and not near_corner
+        near_corner = min(t[k], 1.0 - t[k]) * edge_len < _VERTEX_TOL
+        second = np.partition(d, 1)[1]
+        ambiguous = (second - d[k]) < 1e-9 * max(1.0, self._diam) and not near_corner
         kappa = math.nan if near_corner else 0.0
-        return BoundaryProbe(d, s, self._normals[k].copy(), kappa,
+        return BoundaryProbe(float(d[k]), proj[k], self._normals[k].copy(), kappa,
                              ambiguous=bool(ambiguous), near_corner=bool(near_corner))
-
-    def _all_edge_distances(self, p: np.ndarray) -> np.ndarray:
-        a = self._edges[:, 0]
-        b = self._edges[:, 1]
-        ab = b - a
-        denom = np.sum(ab * ab, axis=1)
-        t = np.clip(np.sum((p - a) * ab, axis=1) / denom, 0.0, 1.0)
-        proj = a + t[:, None] * ab
-        return np.hypot(proj[:, 0] - p[0], proj[:, 1] - p[1])
 
 
 @dataclass(frozen=True)
@@ -651,31 +608,26 @@ class Configuration:
                 raise ValueError(f"dislocation at {d.position} lies outside the domain")
 
 
-def boundary_probe(x, domain: Domain) -> BoundaryProbe:
-    """Distance to the boundary, nearest point, outward normal and curvature."""
-    return domain.probe(x)
+def _separation(positions: np.ndarray, domain: Domain, first: int = 1) -> float:
+    """Least of the boundary distances of ``positions`` and of the mutual
+    distances ``|positions[i] - positions[j]|`` over i < j with j >= first.
 
-
-def _dn(positions: np.ndarray, domain: Domain) -> float:
-    """Minimal separation: boundary distances and mutual distances combined.
-
-    For a single point this is just the boundary distance; on the whole
-    plane the boundary term is +inf.
+    ``first=1`` takes every pair; ``first=2`` leaves out the pair (0, 1).
+    With no positions, or only one on the whole plane, it is +inf.
     """
-    n = len(positions)
     best = math.inf
     if domain.has_boundary:
         for p in positions:
             best = min(best, domain.probe(p).distance)
-    for i in range(n):
-        for j in range(i + 1, n):
+    for j in range(first, len(positions)):
+        for i in range(j):
             best = min(best, float(np.linalg.norm(positions[i] - positions[j])))
     return best
 
 
 def min_separation(config: Configuration, domain: Domain) -> float:
     """The distance d_n of the configuration to the blow-up set."""
-    return _dn(config.positions, domain)
+    return _separation(config.positions, domain)
 
 
 def in_class_D(config: Configuration, domain: Domain,
@@ -690,9 +642,7 @@ def in_class_D(config: Configuration, domain: Domain,
     pos = config.positions
     if domain.probe(pos[0]).distance >= delta:
         return False
-    if config.n == 1:
-        return True
-    return _dn(pos[1:], domain) > gamma
+    return config.n == 1 or _separation(pos[1:], domain) > gamma
 
 
 def in_class_C(config: Configuration, domain: Domain,
@@ -705,15 +655,5 @@ def in_class_C(config: Configuration, domain: Domain,
     if config.n < 2:
         raise ValueError("class C needs at least two dislocations")
     pos = config.positions
-    if np.linalg.norm(pos[0] - pos[1]) >= zeta:
-        return False
-    rest = pos[2:]
-    if len(rest) and _dn(rest, domain) <= eta:
-        return False
-    for p in pos[:2]:
-        if domain.has_boundary and domain.probe(p).distance <= eta:
-            return False
-        for q in rest:
-            if np.linalg.norm(p - q) <= eta:
-                return False
-    return True
+    return bool(np.linalg.norm(pos[0] - pos[1]) < zeta
+                and _separation(pos, domain, first=2) > eta)

@@ -170,6 +170,25 @@ class TestEnsemble:
             summaries.append(json.dumps(payload, sort_keys=True))
         assert summaries[0] == summaries[1]
 
+    def test_runs_csv_lists_every_start(self, tmp_path):
+        cfg = dict(self.CFG, sampling=dict(self.CFG["sampling"], n=3),
+                   ensemble_size=4)
+        files = []
+        for name in ("a", "b"):
+            summary = run_ensemble(cfg, out_dir=str(tmp_path / name))
+            files.append((tmp_path / name / "runs.csv").read_bytes())
+        assert files[0] == files[1]
+        rows = list(csv.reader(files[0].decode().splitlines()))
+        assert rows[0] == ["run", "kind", "raw_time", "corrected_time",
+                           "x1", "y1", "b1", "x2", "y2", "b2", "x3", "y3", "b3",
+                           "n_samples"]
+        assert len(rows) == 1 + 4
+        for row, rec in zip(rows[1:], summary.records):
+            starts = [float(v) for v in row[4:13]]
+            assert starts[0::3] == [p[0] for p in rec["initial"]]
+            assert starts[1::3] == [p[1] for p in rec["initial"]]
+            assert starts[2::3] == rec["burgers"]
+
     def test_step_budget_failures_recorded(self):
         # runs that exhaust their step budget are recorded, not fatal
         s = run_ensemble(dict(self.CFG, ensemble_size=4,
@@ -265,6 +284,17 @@ class TestBoundsCommand:
         assert main(["bounds", "--config", cfgp]) == 1
         err = json.loads(capsys.readouterr().err)
         assert "unknown bounds scenario" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [["bounds", "--workers", "2"],
+                                  ["bounds", "--format", "csv"],
+                                  ["kernel-probe", "--seed", "1"],
+                                  ["simulate", "--workers", "2"]])
+def test_flags_a_command_ignores_are_refused(argv, tmp_path):
+    cfgp = write_config(tmp_path, "c.json", {})
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", cfgp])
+    assert exc.value.code == 2
 
 
 class TestOracleCommand:

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from dislodyn.errors import NoBoundary, ParameterOrder
 from dislodyn.geometry import (AxisAlignedPolygon, Configuration, Disk,
                                Dislocation, ExteriorDisk, HalfPlane, Plane,
-                               SmoothCurveDomain, boundary_probe,
-                               cardioid_domain, in_class_C, in_class_D,
-                               min_separation)
+                               SmoothCurveDomain, cardioid_domain,
+                               in_class_C, in_class_D, min_separation)
 
 
 def config(points, burgers=None):
@@ -22,14 +21,14 @@ def config(points, burgers=None):
 
 class TestBoundaryProbe:
     def test_disk_radial(self):
-        p = boundary_probe((0.5, 0.0), Disk())
+        p = Disk().probe((0.5, 0.0))
         assert p.distance == pytest.approx(0.5, abs=1e-15)
         assert p.point == pytest.approx([1.0, 0.0])
         assert p.normal == pytest.approx([1.0, 0.0])
         assert p.curvature == pytest.approx(1.0)
 
     def test_halfplane_flat(self):
-        p = boundary_probe((0.0, 0.1), HalfPlane.upper())
+        p = HalfPlane.upper().probe((0.0, 0.1))
         assert p.distance == pytest.approx(0.1)
         assert p.point == pytest.approx([0.0, 0.0])
         assert p.normal == pytest.approx([0.0, -1.0])
@@ -37,7 +36,7 @@ class TestBoundaryProbe:
 
     def test_disk_diagonal_point(self):
         # |x| = 0.5 so the nearest point is x/|x|
-        p = boundary_probe((0.3, 0.4), Disk())
+        p = Disk().probe((0.3, 0.4))
         assert p.distance == pytest.approx(0.5, abs=1e-12)
         assert p.point == pytest.approx([0.6, 0.8], abs=1e-12)
 
@@ -51,7 +50,7 @@ class TestBoundaryProbe:
             if not dom.contains(x):
                 continue
             d_brute = np.min(np.hypot(ring[:, 0] - x[0], ring[:, 1] - x[1]))
-            assert boundary_probe(x, dom).distance == pytest.approx(
+            assert dom.probe(x).distance == pytest.approx(
                 d_brute, abs=1e-8)
 
     def test_disk_radial_closed_form_sweep(self, rng):
@@ -61,20 +60,20 @@ class TestBoundaryProbe:
             if not dom.contains(x):
                 continue
             expected = 2.5 - np.linalg.norm(x)
-            assert abs(boundary_probe(x, dom).distance - expected) < 1e-12
+            assert abs(dom.probe(x).distance - expected) < 1e-12
 
     def test_exterior_disk(self):
-        p = boundary_probe((2.0, 0.0), ExteriorDisk())
+        p = ExteriorDisk().probe((2.0, 0.0))
         assert p.distance == pytest.approx(1.0)
         assert p.normal == pytest.approx([-1.0, 0.0])
         assert p.curvature == pytest.approx(-1.0)
 
     def test_plane_has_no_boundary(self):
         with pytest.raises(NoBoundary):
-            boundary_probe((0.0, 0.0), Plane())
+            Plane().probe((0.0, 0.0))
 
     def test_disk_center_ambiguous(self):
-        p = boundary_probe((0.0, 0.0), Disk())
+        p = Disk().probe((0.0, 0.0))
         assert p.ambiguous
         assert p.distance == pytest.approx(1.0)
 
@@ -127,6 +126,13 @@ class TestSmoothCurve:
                 lambda t: np.stack([np.sin(-t), -np.cos(-t)], axis=-1),
                 lambda t: np.stack([-np.cos(-t), -np.sin(-t)], axis=-1))
 
+    def test_parametrization_must_be_points_by_coordinates(self):
+        # a (2, m) array is refused, not read as m scrambled points
+        with pytest.raises(ValueError, match=r"shape \(2, 1024\)"):
+            SmoothCurveDomain(lambda t: np.array([np.cos(t), np.sin(t)]),
+                              lambda t: np.array([-np.sin(t), np.cos(t)]),
+                              lambda t: np.array([-np.cos(t), -np.sin(t)]))
+
     def test_from_table_round_trip(self):
         theta = np.linspace(0, 2 * np.pi, 256, endpoint=False)
         rows = np.stack([theta, np.cos(theta), np.sin(theta),
@@ -168,6 +174,41 @@ class TestPolygon:
         assert square.contains((0.5, 0.5))
         assert not square.contains((1.5, 0.5))
         assert not square.contains((1.0, 0.5))  # boundary point
+
+
+# every domain that answers contains_many, with a box around its boundary
+QUERY_DOMAINS = {
+    "disk": (Disk(center=(0.3, -0.2), radius=1.7), (-1.6, 2.2)),
+    "exterior_disk": (ExteriorDisk(center=(0.1, 0.2), radius=0.8), (-1.5, 1.5)),
+    "square": (AxisAlignedPolygon.square(), (-0.2, 1.2)),
+    "L": (AxisAlignedPolygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]),
+          (-0.2, 2.2)),
+    "cardioid": (cardioid_domain(), (-0.1, 1.1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUERY_DOMAINS))
+def test_queries_agree(name, rng):
+    dom, (lo, hi) = QUERY_DOMAINS[name]
+    pts = rng.uniform(lo, hi, (300, 2))
+    inside = [dom.contains(p) for p in pts]
+    assert 50 < sum(inside) < 250
+    assert dom.contains_many(pts).tolist() == inside
+    for p, c in zip(pts, inside):
+        sd = dom.signed_distance(p)
+        assert (sd > 0) == c
+        assert dom.probe(p).distance == abs(sd)
+
+
+def test_disk_and_exterior_are_opposite(rng):
+    inner, outer = Disk(center=(0.2, -0.1), radius=0.7), \
+        ExteriorDisk(center=(0.2, -0.1), radius=0.7)
+    for p in rng.uniform(-1.0, 1.0, (50, 2)):
+        a, b = inner.probe(p), outer.probe(p)
+        assert outer.signed_distance(p) == -inner.signed_distance(p)
+        assert b.normal.tolist() == (-a.normal).tolist()
+        assert b.curvature == -a.curvature
+        assert b.point.tolist() == a.point.tolist() and b.distance == a.distance
 
 
 class TestMinSeparation:
