@@ -9,9 +9,7 @@ from .geometry import (AxisAlignedPolygon, BoundaryProbe, Configuration, Disk,
 from .kernels_analytic import (DiskKernels, ExteriorDiskKernels,
                                HalfPlaneKernels, KernelEvaluator, PlaneKernels,
                                analytic_kernels)
-from .kernels_numeric import (GridKernels, NumericKernelConfig, NystromKernels,
-                              grad_h_numeric, h_numeric, numeric_kernels,
-                              solve_k)
+from .kernels_numeric import GridKernels, NumericKernelConfig, NystromKernels
 from .mechanics import (GlideSet, energy, forces, mobility_glide,
                         mobility_identity)
 from .dynamics import (BoundaryCollision, HorizonReached, IntegrationParams,

@@ -86,8 +86,7 @@ def cmd_kernel_probe(args) -> int:
         source = np.asarray(source, float)
     # checked once: an outside source refuses every row
     source_inside = source is None or domain.contains(source)
-    resolution = getattr(kernels, "resolution", 0.0)
-    margin = getattr(kernels, "min_eval_distance", 0.0)
+    resolution, margin = kernels.resolution, kernels.min_eval_distance
     rows = []
     for p in pts:
         row = {"x": float(p[0]), "y": float(p[1]), "backend": kernels.backend,

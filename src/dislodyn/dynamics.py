@@ -60,7 +60,7 @@ class IntegrationParams:
         if eps is None:
             eps = 1e-4 * domain.diameter if domain.bounded else 1e-4
         # numeric backends cannot be trusted below their resolution margin
-        return max(eps, getattr(kernels, "min_eval_distance", 0.0))
+        return max(eps, kernels.min_eval_distance)
 
 
 @dataclass(frozen=True)
@@ -113,10 +113,6 @@ class Trajectory:
         """(t, Configuration) pairs."""
         return [(float(t), Configuration.from_arrays(z, self.burgers))
                 for t, z in zip(self.times, self.states)]
-
-    @property
-    def final_configuration(self) -> Configuration:
-        return Configuration.from_arrays(self.states[-1], self.burgers)
 
     def positions_at(self, t: float) -> np.ndarray:
         """Dense-output positions at an interior time, shape (n, 2)."""

@@ -15,7 +15,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .geometry import (AxisAlignedPolygon, Configuration, Disk, Domain,
                        ExteriorDisk, HalfPlane, Plane, SmoothCurveDomain,
                        cardioid_domain, in_class_D)
 from .kernels_analytic import KernelEvaluator, analytic_kernels
-from .kernels_numeric import NumericKernelConfig, numeric_kernels
+from .kernels_numeric import GridKernels, NumericKernelConfig, NystromKernels
 from .dynamics import (BoundaryCollision, HorizonReached, IntegrationParams,
                        PairCollision, Trajectory, integrate)
 from .mechanics import GlideSet, mobility_glide, mobility_identity
@@ -54,10 +54,8 @@ _DEFAULTS = {
     "dislocations": None,
     "sampling": None,
     "mobility": {"kind": "identity"},
-    "integration": {"t_max": 10.0, "rel_tol": 1e-8, "abs_tol": 1e-10,
-                    "eps_stop": None, "max_steps": 10_000_000},
-    "kernel": {"backend": "auto", "boundary_nodes": 512, "grid_spacing": None,
-               "solve_tol": 1e-10},
+    "integration": asdict(IntegrationParams()),
+    "kernel": {"backend": "auto", **asdict(NumericKernelConfig())},
     "seed": 0,
     "ensemble_size": 500,
     "histogram_bin_width": 0.005,
@@ -119,20 +117,33 @@ def build_domain(spec: dict) -> Domain:
     raise ValueError(f"unknown domain kind {kind!r}")
 
 
+def _from_spec(cls, spec: dict):
+    """The dataclass cls from the spec's keys that name its fields; other
+    keys are ignored and missing ones take the dataclass defaults."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{k: v for k, v in spec.items() if k in names})
+
+
+_BACKENDS = ("auto", "analytic", "integral", "grid")
+
+
 def build_kernels(domain: Domain, spec: dict) -> KernelEvaluator:
+    """The evaluator the kernel spec names; ``auto`` takes the closed form
+    where there is one, the Nystrom solver on a smooth curve and the grid
+    otherwise."""
     backend = spec.get("backend", "auto")
+    if backend not in _BACKENDS:
+        raise ValueError(f"unknown kernel backend {backend!r}; expected one "
+                         f"of {', '.join(_BACKENDS)}")
+    if backend == "auto":
+        backend = ("analytic" if isinstance(domain, (Disk, ExteriorDisk,
+                                                     HalfPlane, Plane))
+                   else "integral" if isinstance(domain, SmoothCurveDomain)
+                   else "grid")
     if backend == "analytic":
         return analytic_kernels(domain)
-    if backend == "auto" and isinstance(domain, (Disk, ExteriorDisk,
-                                                 HalfPlane, Plane)):
-        return analytic_kernels(domain)
-    ncfg = NumericKernelConfig(
-        backend=backend if backend in ("integral", "grid") else "auto",
-        boundary_nodes=spec.get("boundary_nodes", 512),
-        grid_spacing=spec.get("grid_spacing"),
-        solve_tol=spec.get("solve_tol", 1e-10),
-    )
-    return numeric_kernels(domain, ncfg)
+    numeric = NystromKernels if backend == "integral" else GridKernels
+    return numeric(domain, _from_spec(NumericKernelConfig, spec))
 
 
 def build_mobility(spec: dict):
@@ -146,13 +157,7 @@ def build_mobility(spec: dict):
 
 
 def build_params(spec: dict) -> IntegrationParams:
-    return IntegrationParams(
-        t_max=spec.get("t_max", 10.0),
-        rel_tol=spec.get("rel_tol", 1e-8),
-        abs_tol=spec.get("abs_tol", 1e-10),
-        eps_stop=spec.get("eps_stop"),
-        max_steps=spec.get("max_steps", 10_000_000),
-    )
+    return _from_spec(IntegrationParams, spec)
 
 
 def build_configuration(cfg: dict, domain: Domain,

@@ -353,10 +353,6 @@ class SmoothCurveDomain(Domain):
                               options={"xatol": 1e-14 * max(1.0, self._diam)})
         return d2, k, float(res.x) % (2.0 * np.pi)
 
-    def nearest_parameter(self, x) -> float:
-        """Parameter of the boundary point nearest to x."""
-        return self._nearest(_as_point(x))[2]
-
     def probe(self, x) -> BoundaryProbe:
         p = _as_point(x)
         d2, k, theta = self._nearest(p)

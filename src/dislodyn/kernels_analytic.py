@@ -83,9 +83,9 @@ class KernelEvaluator:
     """Uniform kernel interface consumed by mechanics and dynamics.
 
     Backends implement ``k``, ``grad_x_k``, ``h`` and ``grad_h``; G and its
-    gradients follow from them.  ``min_eval_distance`` is the boundary
-    margin below which evaluations are only best-effort (zero for analytic
-    backends).
+    gradients follow from them.  ``resolution`` is the backend's mesh width
+    and ``min_eval_distance`` the boundary margin below which evaluations
+    are only best-effort (both zero for analytic backends).
 
     For the batched methods a backend also implements its regular part over
     all pairs of n points given in complex form: ``_k_pairs(z)[i, j] =
@@ -95,6 +95,7 @@ class KernelEvaluator:
     """
 
     backend = "analytic"
+    resolution = 0.0
     min_eval_distance = 0.0
 
     domain: Domain
@@ -352,4 +353,4 @@ def analytic_kernels(domain: Domain) -> KernelEvaluator:
         return HalfPlaneKernels(domain)
     if isinstance(domain, Plane):
         return PlaneKernels(domain)
-    raise ValueError(f"no closed-form kernels for {type(domain).__name__}")
+    raise ValueError(f"analytic backend cannot handle {type(domain).__name__}")

@@ -16,23 +16,24 @@ regular part k(., y):
   costs its boundary data: each interior node keeps one short adjoint row,
   solved on first use and cached per node (LRU, never more memory than 32
   full-grid solutions), whose dot product with the data is the node value.
+  These rows are the module's only cache.
 
 ``h`` is k(x, x) and ``grad h = 2 grad_x k(x, y)|_{y=x}``, where each
 backend differentiates its own solution exactly: the double layer in closed
 form, the grid's bilinear interpolant cell by cell.  A backend evaluates one
 source's data at an array of targets, so the batched methods cost one
 density solve (Nystrom) or one boundary-data evaluation (grid) per source.
-Per-source data are cached (rounded to 1e-12).  The scalar methods refuse
-a point outside the domain; the batched path does no side check.  Below
-roughly one mesh width from the boundary the quadrature cannot resolve the
-boundary data; the public ``solve_k`` refuses such targets, while the
-evaluator used by the dynamics falls back to best-effort values (with the
-nearest-density subtraction that keeps near-boundary evaluation usable).
+Every call computes its sources' data afresh: the dynamics never meets the
+same source twice.  The scalar methods refuse a point outside the domain;
+the batched path does no side check.  Below roughly one mesh width from the
+boundary (``min_eval_distance``) the quadrature cannot resolve the boundary
+data and the values are best-effort (with the nearest-density subtraction
+that keeps near-boundary evaluation usable); ``kernel-probe`` refuses such
+targets.  ``experiments.build_kernels`` picks the backend.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +42,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (PointOutside, SolverDivergence, TargetTooCloseToBoundary)
+from .errors import PointOutside, SolverDivergence
 from .geometry import (AxisAlignedPolygon, Disk, Domain, SmoothCurveDomain)
 from .kernels_analytic import KernelEvaluator, _as_real, _point, _vec
 
@@ -49,10 +50,6 @@ __all__ = [
     "NumericKernelConfig",
     "NystromKernels",
     "GridKernels",
-    "numeric_kernels",
-    "solve_k",
-    "h_numeric",
-    "grad_h_numeric",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -60,14 +57,10 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class NumericKernelConfig:
-    backend: str = "auto"              # auto | integral | grid
     boundary_nodes: int = 512          # N_b, even and >= 64
     grid_spacing: float | None = None  # default diameter / 256
-    solve_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.backend not in ("auto", "integral", "grid"):
-            raise ValueError("backend must be auto, integral or grid")
         if self.boundary_nodes < 64 or self.boundary_nodes % 2:
             raise ValueError("boundary_nodes must be even and >= 64")
         if self.grid_spacing is not None and self.grid_spacing <= 0:
@@ -76,16 +69,14 @@ class NumericKernelConfig:
 
 class _NumericBase(KernelEvaluator):
     backend = "numeric"
-    resolution = 0.0
-    _cache_size = 256  # per-source data kept per evaluator
 
     def k(self, x, y) -> float:
         x, y = self._inside(x), self._inside(y)
-        return float(self._evaluate(self._density(y), x[None, :])[0])
+        return float(self._evaluate(self._solve(y), x[None, :])[0])
 
     def grad_x_k(self, x, y) -> np.ndarray:
         x, y = self._inside(x), self._inside(y)
-        return self._gradient(self._density(y), x[None, :])[0]
+        return self._gradient(self._solve(y), x[None, :])[0]
 
     def _inside(self, p) -> np.ndarray:
         """A scalar method's point, refused unless finite and in the domain:
@@ -106,7 +97,7 @@ class _NumericBase(KernelEvaluator):
         """hook(data for z_j, all n points) in column j: the data of each
         source once and no side check, unlike the scalar path."""
         pts = _as_real(z)
-        return np.stack([hook(self._density(y), pts) for y in pts], axis=1)
+        return np.stack([hook(self._solve(y), pts) for y in pts], axis=1)
 
     def _k_pairs(self, z: np.ndarray) -> np.ndarray:
         out = self._per_source(self._evaluate, z)
@@ -119,20 +110,9 @@ class _NumericBase(KernelEvaluator):
     def _grad_k_pairs(self, z: np.ndarray) -> np.ndarray:
         return self._per_source(self._gradient, z).view(complex)[..., 0]
 
-    def _density(self, y: np.ndarray):
-        """The backend's data for source y (its solution, or its boundary
-        data), kept in an LRU cache keyed by y rounded to 1e-12."""
-        key = (round(float(y[0]), 12), round(float(y[1]), 12))
-        sol = self._cache.pop(key, None)
-        if sol is None:
-            sol = self._solve(y)
-            if len(self._cache) >= self._cache_size:
-                del self._cache[next(iter(self._cache))]
-        self._cache[key] = sol  # the dict's last entry is the most recent
-        return sol
-
     # hooks provided by the concrete backends; points is an (m, 2) array
     def _solve(self, y: np.ndarray):
+        """The backend's data for source y: its solution, or its boundary data."""
         raise NotImplementedError
 
     def _evaluate(self, density, points: np.ndarray) -> np.ndarray:
@@ -168,7 +148,6 @@ class NystromKernels(_NumericBase):
 
     def __init__(self, domain: Domain, cfg: NumericKernelConfig = NumericKernelConfig()):
         self.domain = domain
-        self.cfg = cfg
         n = cfg.boundary_nodes
         if isinstance(domain, Disk):
             theta = _TWO_PI * (np.arange(n) + 0.5) / n
@@ -203,7 +182,6 @@ class NystromKernels(_NumericBase):
         m = kern - 0.5 * np.eye(len(self.nodes))
         self._matrix = m
         self._lu = sla.lu_factor(m)
-        self._cache = {}
         self.resolution = _TWO_PI * domain.diameter / n
         self.min_eval_distance = self.resolution
 
@@ -212,7 +190,7 @@ class NystromKernels(_NumericBase):
                             self.nodes[:, 1] - y[1])) / _TWO_PI
         mu = sla.lu_solve(self._lu, g)
         resid = float(np.max(np.abs(self._matrix @ mu - g)))
-        if not resid <= max(self.cfg.solve_tol, 1e-12) * (1.0 + float(np.max(np.abs(g)))):
+        if not resid <= 1e-10 * (1.0 + float(np.max(np.abs(g)))):
             raise SolverDivergence(f"boundary-integral solve residual {resid:g}")
         return mu
 
@@ -258,13 +236,7 @@ class GridKernels(_NumericBase):
     backend = "grid"
 
     def __init__(self, domain: Domain, cfg: NumericKernelConfig = NumericKernelConfig()):
-        if not domain.bounded:
-            raise ValueError("grid backend needs a bounded domain")
         self.domain = domain
-        self.cfg = cfg
-        diam = domain.diameter
-        h = cfg.grid_spacing if cfg.grid_spacing is not None else diam / 256.0
-
         if isinstance(domain, AxisAlignedPolygon):
             v = domain.vertices
             x0, x1 = float(v[:, 0].min()), float(v[:, 0].max())
@@ -279,6 +251,8 @@ class GridKernels(_NumericBase):
             y0, y1 = float(pts[:, 1].min()), float(pts[:, 1].max())
         else:
             raise ValueError(f"grid backend cannot handle {type(domain).__name__}")
+        h = cfg.grid_spacing if cfg.grid_spacing is not None \
+            else domain.diameter / 256.0
 
         nx = max(8, int(round((x1 - x0) / h))) + 1
         ny = max(8, int(round((y1 - y0) / h))) + 1
@@ -328,7 +302,6 @@ class GridKernels(_NumericBase):
         self._b_points = np.array([self.proj[a, b] for a, b, _ in b_nodes])
         self._b_coefs = np.array([c for _, _, c in b_nodes])
         self._interior_index = idx
-        self._cache = {}
         self._rows = {}  # node index -> adjoint row; the last is the most recent
         # the rows never take more memory than 32 full-grid solutions
         self._rows_cap = 32 * nx * ny // len(self._b_rows)
@@ -337,7 +310,7 @@ class GridKernels(_NumericBase):
 
     def _solve(self, y: np.ndarray):
         """Source data: y, and the Dirichlet value g(y) at every coupling."""
-        return y.copy(), np.log(np.hypot(self._b_points[:, 0] - y[0],
+        return y, np.log(np.hypot(self._b_points[:, 0] - y[0],
                                   self._b_points[:, 1] - y[1])) / _TWO_PI
 
     def _node_rows(self, nodes: np.ndarray) -> np.ndarray:
@@ -350,7 +323,7 @@ class GridKernels(_NumericBase):
             e[missing, np.arange(len(missing))] = 1.0
             z = self._lu.solve(e, trans="T")
             resid = float(np.max(np.abs(self._matrix.T @ z - e)))
-            if not resid <= max(self.cfg.solve_tol, 1e-9) * 2.0:
+            if not resid <= 2e-9:
                 raise SolverDivergence(f"grid adjoint row residual {resid:g}")
             new = (z[self._b_rows] * self._b_coefs[:, None]).T
             for r, row in zip(missing, new):
@@ -398,68 +371,3 @@ class GridKernels(_NumericBase):
         return np.stack([((1 - ty) * (g10 - g00) + ty * (g11 - g01)) / self.hx,
                          ((1 - tx) * (g01 - g00) + tx * (g11 - g10)) / self.hy],
                         axis=1)
-
-
-def numeric_kernels(domain: Domain,
-                    cfg: NumericKernelConfig = NumericKernelConfig()):
-    """Pick a numeric backend for the domain (or honor an explicit choice)."""
-    if cfg.backend == "integral":
-        return NystromKernels(domain, cfg)
-    if cfg.backend == "grid":
-        return GridKernels(domain, cfg)
-    if isinstance(domain, (Disk, SmoothCurveDomain)):
-        return NystromKernels(domain, cfg)
-    if isinstance(domain, AxisAlignedPolygon):
-        return GridKernels(domain, cfg)
-    raise ValueError(f"no numeric backend for {type(domain).__name__}")
-
-
-@functools.lru_cache(maxsize=8)
-def _shared_evaluator(domain: Domain, cfg: NumericKernelConfig):
-    # each evaluator holds a dense matrix, its factors and a solution cache
-    # (about 5 MB at 512 nodes), so only the most recent few are kept
-    return numeric_kernels(domain, cfg)
-
-
-def solve_k(domain: Domain, y, targets,
-            cfg: NumericKernelConfig = NumericKernelConfig()) -> np.ndarray:
-    """Values of the regular part k(target, y) for each target point.
-
-    Refuses a source or target outside the domain (``PointOutside``) before
-    building the evaluator, and enforces the backend's boundary margin on
-    every target (``TargetTooCloseToBoundary``).
-    """
-    y = np.asarray(y, float).reshape(2)
-    targets = np.asarray(targets, float).reshape(-1, 2)
-    # containment first: a refused call builds no evaluator
-    if not domain.contains(y):
-        raise PointOutside(f"source {y} is not inside the domain")
-    for p in targets:
-        if not domain.contains(p):
-            raise PointOutside(f"target {p} is not inside the domain")
-    ev = _shared_evaluator(domain, cfg)
-    margin = ev.min_eval_distance
-    for p in targets:
-        if domain.probe(p).distance < margin:
-            raise TargetTooCloseToBoundary(
-                f"target {p} is within the resolution margin {margin:g}")
-    dens = ev._density(y)
-    return ev._evaluate(dens, targets)
-
-
-def h_numeric(domain: Domain, x,
-              cfg: NumericKernelConfig = NumericKernelConfig()) -> float:
-    """Self-interaction potential h(x) = k(x, x) through the numeric path."""
-    x = np.asarray(x, float).reshape(2)
-    return float(solve_k(domain, x, x[None, :], cfg)[0])
-
-
-def grad_h_numeric(domain: Domain, x,
-                   cfg: NumericKernelConfig = NumericKernelConfig()) -> np.ndarray:
-    """Gradient of h, 2 grad_x k(x, y) at y = x with the source frozen.
-
-    Refuses x as ``h_numeric`` does, whose solve the gradient then reuses.
-    """
-    x = np.asarray(x, float).reshape(2)
-    h_numeric(domain, x, cfg)
-    return _shared_evaluator(domain, cfg).grad_h(x)

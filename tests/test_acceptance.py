@@ -471,14 +471,14 @@ def test_criterion_9_square_and_cardioid_figures(square, cardioid,
         # at the stopping scale; endpoints whose nearest point sits where
         # the osculating radius is below ~8 stopping distances are inside
         # the cusp funnel, where no outward normal exists to compare against
-        theta_star = cardioid.nearest_parameter(zf)
-        kappa = cardioid.curve_frame(theta_star)[3]
+        probe = cardioid.probe(zf)
+        kappa = probe.curvature
         if not math.isfinite(kappa) or 1.0 / abs(kappa) <= 8 * traj.eps_stop:
             cusp_landers += 1
             continue
         v = zf - zp
         v = v / np.linalg.norm(v)
-        nu = cardioid.probe(zf).normal
+        nu = probe.normal
         deg = math.degrees(math.acos(float(np.clip(v @ nu, -1, 1))))
         worst_angle = max(worst_angle, deg)
     if worst_angle >= 5.0:

@@ -3,13 +3,20 @@ import json
 import math
 import os
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from dislodyn.cli import main
-from dislodyn.experiments import (dump_config, normalize_config,
-                                  run_ensemble, run_simulation)
+from dislodyn.dynamics import IntegrationParams
+from dislodyn.experiments import (build_domain, build_kernels, dump_config,
+                                  normalize_config, run_ensemble,
+                                  run_simulation)
+from dislodyn.kernels_analytic import (DiskKernels, ExteriorDiskKernels,
+                                       HalfPlaneKernels, PlaneKernels)
+from dislodyn.kernels_numeric import (GridKernels, NumericKernelConfig,
+                                      NystromKernels)
 
 
 def write_config(tmp_path, name, payload):
@@ -95,6 +102,22 @@ class TestSimulate:
         assert main(["simulate", "--config", cfgp]) == 1
         err = json.loads(capsys.readouterr().err)
         assert "error" in err and "message" in err
+
+    @pytest.mark.parametrize("domain, backend", [
+        ({"kind": "disk"}, "grdi"),
+        ({"kind": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]},
+         "Analytic")], ids=["grdi_on_disk", "Analytic_on_square"])
+    def test_unknown_backend_refused(self, domain, backend, tmp_path, capsys):
+        cfgp = write_config(tmp_path, "bad.json", {
+            "domain": domain, "kernel": {"backend": backend},
+            "dislocations": [{"position": [0.5, 0.1]}]})
+        assert main(["simulate", "--config", cfgp,
+                     "--out", str(tmp_path / "bo")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert repr(backend) in err["message"]
+        for name in ("auto", "analytic", "integral", "grid"):
+            assert name in err["message"]
 
     def test_solver_failure_exit_code(self, tmp_path, capsys):
         cfgp = write_config(tmp_path, "fail.json", {
@@ -258,6 +281,43 @@ class TestConfigRoundTrip:
         assert cfg["kernel"]["boundary_nodes"] == 512
 
 
+SQUARE = {"kind": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}
+
+# evaluator class per domain kind for the backends auto, analytic, integral
+# and grid; None where the pair is unsupported
+DISPATCH = {
+    "disk": ({"kind": "disk"},
+             (DiskKernels, DiskKernels, NystromKernels, GridKernels)),
+    "exterior_disk": ({"kind": "exterior_disk"},
+                      (ExteriorDiskKernels, ExteriorDiskKernels, None, None)),
+    "half_plane": ({"kind": "half_plane"},
+                   (HalfPlaneKernels, HalfPlaneKernels, None, None)),
+    "plane": ({"kind": "plane"}, (PlaneKernels, PlaneKernels, None, None)),
+    "cardioid": ({"kind": "parametric", "builtin": "cardioid"},
+                 (NystromKernels, None, NystromKernels, GridKernels)),
+    "square": (SQUARE, (GridKernels, None, NystromKernels, GridKernels)),
+}
+
+
+def test_build_kernels_dispatch():
+    for kind, (spec, classes) in DISPATCH.items():
+        domain = build_domain(spec)
+        for backend, cls in zip(("auto", "analytic", "integral", "grid"),
+                                classes):
+            kernel = {"backend": backend, "boundary_nodes": 64,
+                      "grid_spacing": 1 / 16}
+            if cls is None:
+                with pytest.raises(ValueError, match=f"{backend} backend "
+                                   f"cannot handle {type(domain).__name__}"):
+                    build_kernels(domain, kernel)
+            else:
+                assert type(build_kernels(domain, kernel)) is cls, (kind, backend)
+    defaults = normalize_config({})
+    assert defaults["kernel"] == {"backend": "auto",
+                                  **asdict(NumericKernelConfig())}
+    assert defaults["integration"] == asdict(IntegrationParams())
+
+
 class TestBoundsCommand:
     def test_boundary_json(self, tmp_path, capsys):
         cfgp = write_config(tmp_path, "b.json", {
@@ -344,3 +404,23 @@ class TestKernelProbe:
             rows = list(csv.DictReader(fh))
         assert [r["refused"] for r in rows] == ["PointOutside"] * 2
         assert all(r["k"] == r["h"] == "" for r in rows)
+
+    @pytest.mark.parametrize("domain, kernel, inner, near", [
+        # 128 Nystrom nodes on the unit disk: margin 2 pi diam / 128 = 0.098
+        ({"kind": "disk"}, {"backend": "integral", "boundary_nodes": 128},
+         [0.5, 0.0], [0.999, 0.0]),
+        # grid spacing 1/16 on the unit square: margin 2h = 0.125
+        (SQUARE, {"backend": "grid", "grid_spacing": 1 / 16},
+         [0.5, 0.5], [0.5, 0.1])], ids=["nystrom_disk", "grid_square"])
+    def test_margin_refused_on_numeric_backends(self, domain, kernel, inner,
+                                                near, tmp_path):
+        cfgp = write_config(tmp_path, "p.json", {
+            "domain": domain, "kernel": kernel,
+            "probe": {"points": [inner, near], "source": [0.3, 0.2]}})
+        out = str(tmp_path / "po")
+        assert main(["kernel-probe", "--config", cfgp, "--out", out]) == 0
+        with open(os.path.join(out, "kernel_probe.csv")) as fh:
+            good, refused = csv.DictReader(fh)
+        assert good["refused"] == "" and good["k"] != ""
+        assert refused["refused"] == "TargetTooCloseToBoundary"
+        assert all(refused[c] == "" for c in ("k", "h", "grad_h_x", "grad_h_y"))

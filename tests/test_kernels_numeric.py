@@ -1,21 +1,17 @@
-import gc
 import math
-import weakref
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 from scipy.sparse.linalg import spsolve
 
-from dislodyn.errors import (PointOutside, SolverDivergence,
-                             TargetTooCloseToBoundary)
+from dislodyn.errors import PointOutside, SolverDivergence
 from dislodyn.geometry import (_CARDIOID_A, AxisAlignedPolygon, Disk,
                                ExteriorDisk, HalfPlane)
 from dislodyn.kernels_analytic import (DiskKernels, ExteriorDiskKernels,
                                        HalfPlaneKernels, PlaneKernels)
 from dislodyn.kernels_numeric import (GridKernels, NumericKernelConfig,
-                                      NystromKernels, _shared_evaluator,
-                                      grad_h_numeric, h_numeric, solve_k)
+                                      NystromKernels)
 
 TWO_PI = 2.0 * math.pi
 
@@ -34,58 +30,30 @@ def cardioid_conformal_h(w, a=_CARDIOID_A, offset=None):
     raise ValueError("point is not inside the cardioid")
 
 
-class TestSolveK:
-    def test_disk_against_analytic(self, disk):
-        # k((0.5,0), (0.2,0)) = log(0.9) / (2 pi) on the unit disk
-        vals = solve_k(disk, (0.2, 0.0), [(0.5, 0.0)],
-                       NumericKernelConfig(boundary_nodes=128))
-        assert vals[0] == pytest.approx(math.log(0.9) / TWO_PI, abs=1e-3)
+@pytest.fixture(scope="module")
+def disk_128(disk):
+    return NystromKernels(disk, NumericKernelConfig(boundary_nodes=128))
 
-    def test_center_source_vanishes(self, disk):
-        vals = solve_k(disk, (0.0, 0.0), [(0.5, 0.0), (0.1, 0.3)],
-                       NumericKernelConfig(boundary_nodes=128))
+
+class TestSolveK:
+    """Values of k(target, y) from the numeric evaluators."""
+
+    def test_disk_against_analytic(self, disk_128):
+        # k((0.5,0), (0.2,0)) = log(0.9) / (2 pi) on the unit disk
+        assert disk_128.k((0.5, 0.0), (0.2, 0.0)) == pytest.approx(
+            math.log(0.9) / TWO_PI, abs=1e-3)
+
+    def test_center_source_vanishes(self, disk_128):
+        vals = [disk_128.k(x, (0.0, 0.0)) for x in ((0.5, 0.0), (0.1, 0.3))]
         assert np.max(np.abs(vals)) < 1e-10
 
-    def test_square_diagonal_h_cross_backend(self, square):
+    def test_square_diagonal_h_cross_backend(self, square_grid, square_integral):
         y = (0.5, 0.5)
-        a = solve_k(square, y, [y], NumericKernelConfig(backend="grid"))
-        b = solve_k(square, y, [y],
-                    NumericKernelConfig(backend="integral", boundary_nodes=512))
-        assert abs(a[0] - b[0]) < 2e-3
+        assert abs(square_grid.k(y, y) - square_integral.k(y, y)) < 2e-3
 
-    def test_margin_enforced(self, disk):
-        cfg = NumericKernelConfig(boundary_nodes=128)
-        with pytest.raises(TargetTooCloseToBoundary):
-            solve_k(disk, (0.0, 0.0), [(0.999, 0.0)], cfg)
-
-    def test_outside_rejected(self, disk):
+    def test_outside_rejected(self, disk_integral):
         with pytest.raises(PointOutside):
-            solve_k(disk, (1.5, 0.0), [(0.2, 0.0)])
-
-    def test_refusal_builds_no_evaluator(self):
-        domain = Disk(radius=1.01)
-        misses = _shared_evaluator.cache_info().misses
-        calls = (lambda: solve_k(domain, (1.5, 0.0), [(0.2, 0.0)]),
-                 lambda: solve_k(domain, (0.2, 0.0), [(0.1, 0.0), (0.0, 1.2)]),
-                 lambda: h_numeric(domain, (1.5, 0.0)),
-                 lambda: grad_h_numeric(domain, (0.0, -1.5)))
-        for call in calls:
-            with pytest.raises(PointOutside):
-                call()
-        assert _shared_evaluator.cache_info().misses == misses
-
-    def test_shared_evaluators_bounded(self):
-        # fresh domains must not pin an evaluator each
-        cfg = NumericKernelConfig(backend="integral", boundary_nodes=64)
-        refs = []
-        for _ in range(20):
-            sq = AxisAlignedPolygon.square()
-            solve_k(sq, (0.5, 0.5), [(0.4, 0.5)], cfg)
-            refs.append(weakref.ref(_shared_evaluator(sq, cfg)))
-        del sq
-        gc.collect()
-        alive = sum(r() is not None for r in refs)
-        assert alive <= _shared_evaluator.cache_info().maxsize
+            disk_integral.k((0.2, 0.0), (1.5, 0.0))
 
 
 # closed-form evaluators for the non-finite test, each with a point inside
@@ -221,9 +189,8 @@ class TestGridRows:
 
 
 class TestHNumeric:
-    def test_disk_matches_analytic(self, disk):
-        cfg = NumericKernelConfig(boundary_nodes=128)
-        assert h_numeric(disk, (0.5, 0.0), cfg) == pytest.approx(
+    def test_disk_matches_analytic(self, disk_128):
+        assert disk_128.h((0.5, 0.0)) == pytest.approx(
             math.log(0.75) / TWO_PI, abs=1e-3)
 
     def test_square_center_gradient_vanishes(self, square, square_grid):
@@ -240,11 +207,6 @@ class TestHNumeric:
         assert np.linalg.norm(cardioid_integral.grad_h((xeq, 0.5))) < 1e-3
         # conformal-map oracle pins the true equilibrium
         assert abs(xeq - (off - 16 * a / 9)) < 5e-3
-
-    def test_grad_h_numeric_margin(self, disk):
-        cfg = NumericKernelConfig(boundary_nodes=128)
-        with pytest.raises(TargetTooCloseToBoundary):
-            grad_h_numeric(disk, (0.999, 0.0), cfg)
 
 
 class TestAccuracy:
@@ -312,8 +274,6 @@ class TestConvergence:
     def test_maximum_principle(self, disk_integral, disk):
         # interior values of k(., y) stay within the boundary-data range
         y = np.array([0.35, -0.2])
-        mu = disk_integral._density(y)
-        del mu
         g = np.log(np.hypot(disk_integral.nodes[:, 0] - y[0],
                             disk_integral.nodes[:, 1] - y[1])) / TWO_PI
         lo, hi = g.min() - 1e-8, g.max() + 1e-8
@@ -361,26 +321,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             NumericKernelConfig(boundary_nodes=65)
         with pytest.raises(ValueError):
-            NumericKernelConfig(backend="fem")
-        with pytest.raises(ValueError):
             NumericKernelConfig(grid_spacing=-0.1)
-
-    def test_density_cache_hit(self, disk_integral):
-        y = np.array([0.11, 0.22])
-        a = disk_integral._density(y)
-        b = disk_integral._density(y + 1e-15)  # rounds to the same key
-        assert a is b
-
-    def test_density_cache_drops_least_recent(self, square):
-        ev = NystromKernels(square, NumericKernelConfig(boundary_nodes=64))
-        n = ev._cache_size + 8
-        sources = [np.array([0.2 + 0.6 * i / n, 0.5]) for i in range(n)]
-        solved = [ev._density(y) for y in sources[:2]]
-        for y in sources[2:]:
-            ev._density(y)
-            assert ev._density(sources[0]) is solved[0]  # kept by every use
-        assert len(ev._cache) == ev._cache_size
-        assert ev._density(sources[1]) is not solved[1]  # dropped, solved again
 
 
 class TestNumericGreenGradients:
