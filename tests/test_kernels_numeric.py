@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.sparse.linalg import spsolve
 
+from dislodyn.cli import main
 from dislodyn.errors import PointOutside, SolverDivergence
 from dislodyn.geometry import (_CARDIOID_A, AxisAlignedPolygon, Disk,
                                ExteriorDisk, HalfPlane)
@@ -35,6 +38,20 @@ def disk_128(disk):
     return NystromKernels(disk, NumericKernelConfig(boundary_nodes=128))
 
 
+def probe_disk_128(tmp_path, points, source):
+    """kernel-probe rows of a 128-node Nystrom unit disk, the command that
+    enforces the resolution margin (2 pi diam / 128 = 0.098)."""
+    cfg = tmp_path / "probe.json"
+    cfg.write_text(json.dumps({
+        "domain": {"kind": "disk"},
+        "kernel": {"backend": "integral", "boundary_nodes": 128},
+        "probe": {"points": points, "source": source}}))
+    out = tmp_path / "po"
+    assert main(["kernel-probe", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "kernel_probe.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 class TestSolveK:
     """Values of k(target, y) from the numeric evaluators."""
 
@@ -50,6 +67,11 @@ class TestSolveK:
     def test_square_diagonal_h_cross_backend(self, square_grid, square_integral):
         y = (0.5, 0.5)
         assert abs(square_grid.k(y, y) - square_integral.k(y, y)) < 2e-3
+
+    def test_margin_enforced(self, tmp_path):
+        (row,) = probe_disk_128(tmp_path, [[0.999, 0.0]], [0.0, 0.0])
+        assert row["refused"] == "TargetTooCloseToBoundary"
+        assert row["k"] == ""
 
     def test_outside_rejected(self, disk_integral):
         with pytest.raises(PointOutside):
@@ -207,6 +229,11 @@ class TestHNumeric:
         assert np.linalg.norm(cardioid_integral.grad_h((xeq, 0.5))) < 1e-3
         # conformal-map oracle pins the true equilibrium
         assert abs(xeq - (off - 16 * a / 9)) < 5e-3
+
+    def test_grad_h_numeric_margin(self, tmp_path):
+        (row,) = probe_disk_128(tmp_path, [[0.999, 0.0]], [0.0, 0.0])
+        assert row["refused"] == "TargetTooCloseToBoundary"
+        assert row["grad_h_x"] == row["grad_h_y"] == ""
 
 
 class TestAccuracy:
