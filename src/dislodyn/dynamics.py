@@ -18,6 +18,7 @@ error is o(eps^2).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -50,10 +51,20 @@ class IntegrationParams:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        if self.t_max <= 0 or self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("t_max and tolerances must be positive")
-        if self.eps_stop is not None and self.eps_stop <= 0:
-            raise ValueError("eps_stop must be positive")
+        # every test is written so that NaN fails it: a NaN horizon or
+        # tolerance hangs the solver, and a NaN eps_stop disables the events
+        if not self.t_max > 0:
+            raise ValueError(f"t_max must be positive, got {self.t_max!r}")
+        finite = ["rel_tol", "abs_tol"]
+        if self.eps_stop is not None:
+            finite.append("eps_stop")
+        for name in finite:
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not (isinstance(self.max_steps, numbers.Integral) and self.max_steps >= 1):
+            raise ValueError(
+                f"max_steps must be an integer >= 1, got {self.max_steps!r}")
 
     def resolve_eps(self, domain: Domain, kernels: KernelEvaluator) -> float:
         eps = self.eps_stop

@@ -26,8 +26,7 @@ from .geometry import (AxisAlignedPolygon, Configuration, Disk, Domain,
                        cardioid_domain, in_class_D)
 from .kernels_analytic import KernelEvaluator, analytic_kernels
 from .kernels_numeric import GridKernels, NumericKernelConfig, NystromKernels
-from .dynamics import (BoundaryCollision, HorizonReached, IntegrationParams,
-                       PairCollision, Trajectory, integrate)
+from .dynamics import IntegrationParams, Trajectory, integrate
 from .mechanics import GlideSet, mobility_glide, mobility_identity
 
 __all__ = [
@@ -265,19 +264,11 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
 
 
 def _termination_dict(term) -> dict:
-    if isinstance(term, BoundaryCollision):
-        return {"kind": "boundary", "index": term.index,
-                "stop_time": term.stop_time,
-                "corrected_time": term.corrected_time,
-                "boundary_point": [float(v) for v in term.boundary_point]}
-    if isinstance(term, PairCollision):
-        return {"kind": "pair", "i": term.i, "j": term.j,
-                "stop_time": term.stop_time,
-                "corrected_time": term.corrected_time,
-                "midpoint": [float(v) for v in term.midpoint]}
-    if isinstance(term, HorizonReached):
-        return {"kind": "horizon", "t_max": term.t_max}
-    return {"kind": "failure", "reason": term.reason}
+    out = {"kind": term.kind}
+    for f in fields(term):
+        value = getattr(term, f.name)
+        out[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return out
 
 
 def trajectory_sidecar(traj: Trajectory, params: IntegrationParams,

@@ -5,20 +5,15 @@ Every domain's Green's function splits as
 
     G(x, y) = -log|x - y| / (2*pi) + k(x, y),    h(x) = k(x, x),
 
-so a backend supplies only the regular part k, its x-gradient, the
-self-interaction potential h and its gradient; ``KernelEvaluator`` builds G
-and grad_x G from them once for every backend.  Gradients are
-hand-differentiated closed forms; the finite-difference consistency checks
-live in the test suite.
-
-The dynamics needs grad h at every dislocation and grad_x G between every
-pair on each right-hand side, so ``KernelEvaluator`` also evaluates them for
-all n points at once (``grad_h_and_G``, and ``h_and_G`` for the energy).
-The closed-form backends supply their regular part over all pairs in
-complex notation, z = x + iy with a gradient (gx, gy) written gx + i gy,
-where the bare gradient -(x - y)/(2 pi |x - y|^2) is -1/(2 pi conj(x - y)).
-The numeric backends supply the same two methods with one density solve
-per source, evaluated at all n targets.
+so a backend supplies only the regular part k and its x-gradient, once, for
+m targets against p sources given in complex notation z = x + iy, with a
+gradient (gx, gy) written gx + i gy.  ``KernelEvaluator`` builds everything
+else from these two forms: the scalar methods, h, grad h = 2 grad_x k(x, x)
+(k is symmetric), G and grad_x G, and their batched versions over all n
+points (``grad_h_and_G``, and ``h_and_G`` for the energy), which the dynamics
+uses.  The bare gradient -(x - y)/(2 pi |x - y|^2) is -1/(2 pi conj(x - y)).
+Gradients are hand-differentiated closed forms; the finite-difference
+consistency checks and a real-vector reference live in the test suite.
 
 For a disk of radius rho centred at the origin the symmetric form
 
@@ -26,9 +21,9 @@ For a disk of radius rho centred at the origin the symmetric form
 
 is used; it is smooth through x = 0 (no explicit reflection point), and Q
 equals |rho^2 - conj(x) y|^2 in complex notation.  One body serves the
-interior and the exterior, which differ only in the side test and the sign
-of rho^2 - |x|^2 in h.  On the whole plane k and h vanish by convention,
-so the pair energy reduces to the bare logarithm.
+interior and the exterior, which differ only in the side test.  On the
+whole plane k vanishes by convention, so the pair energy reduces to the
+bare logarithm.
 """
 
 from __future__ import annotations
@@ -82,16 +77,15 @@ def _as_real(g: np.ndarray) -> np.ndarray:
 class KernelEvaluator:
     """Uniform kernel interface consumed by mechanics and dynamics.
 
-    Backends implement ``k``, ``grad_x_k``, ``h`` and ``grad_h``; G and its
-    gradients follow from them.  ``resolution`` is the backend's mesh width
-    and ``min_eval_distance`` the boundary margin below which evaluations
-    are only best-effort (both zero for analytic backends).
-
-    For the batched methods a backend also implements its regular part over
-    all pairs of n points given in complex form: ``_k_pairs(z)[i, j] =
-    k(z_i, z_j)`` and ``_grad_k_pairs(z)[i, j] = grad_x k(z_i, z_j)``.  The
-    closed forms check once that every point is on the domain's side; the
-    numeric backends do no side check, as on their scalar path.
+    A backend implements its regular part for m targets x against p
+    sources y, both complex arrays: ``_k_cross(x, y)[i, j] = k(x_i, y_j)``
+    and ``_grad_k_cross(x, y)[i, j] = grad_x k(x_i, y_j)``, shape (m, p).
+    The closed forms check once per point that it is on the domain's side
+    (once in all when ``y is x``); the numeric backends do no side check
+    there.  Everything else is built here from these two forms.
+    ``resolution`` is the backend's mesh width and ``min_eval_distance`` the
+    boundary margin below which evaluations are only best-effort (both zero
+    for analytic backends).
     """
 
     backend = "analytic"
@@ -117,22 +111,33 @@ class KernelEvaluator:
         return self.grad_x_G(y, x)
 
     def k(self, x, y) -> float:
-        raise NotImplementedError
+        return float(self._k_cross(self._one(x), self._one(y))[0, 0])
 
     def grad_x_k(self, x, y) -> np.ndarray:
-        raise NotImplementedError
+        return _as_real(self._grad_k_cross(self._one(x), self._one(y)))[0, 0]
 
     def h(self, x) -> float:
-        raise NotImplementedError
+        return self.k(x, x)
 
     def grad_h(self, x) -> np.ndarray:
-        raise NotImplementedError
+        # k is symmetric, so grad h(x) = 2 grad_x k(x, y) at y = x
+        return 2.0 * self.grad_x_k(x, x)
 
     def _k_pairs(self, z: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self._k_cross(z, z)
 
     def _grad_k_pairs(self, z: np.ndarray) -> np.ndarray:
+        return self._grad_k_cross(z, z)
+
+    def _k_cross(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _grad_k_cross(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _one(self, x) -> np.ndarray:
+        """A scalar method's point as a one-element complex array."""
+        return self._finite(np.reshape(np.asarray(x, dtype=float), (1, 2)))
 
     def grad_h_and_G(self, positions) -> tuple[np.ndarray, np.ndarray]:
         """grad h at each of n points, shape (n, 2), and grad_x G(z_i, z_j)
@@ -197,54 +202,28 @@ class DiskKernels(KernelEvaluator):
         self.center = np.asarray(domain.center, dtype=float)
         self._c = complex(self.center[0], self.center[1])
 
-    def _refuse(self, p):
-        side = "inside" if self._side > 0 else "outside"
-        raise self._off_side(f"{_point(p)} is not {side} the disk")
-
-    def _local(self, x) -> np.ndarray:
-        p = _vec(x)
-        u = p - self.center
-        if self._side * (self.rho - math.hypot(u[0], u[1])) <= 0.0:
-            self._refuse(p)
-        return u
-
-    def _local_pairs(self, z: np.ndarray) -> np.ndarray:
+    def _local(self, z: np.ndarray) -> np.ndarray:
+        """z relative to the centre; refuses a point on the other side."""
         u = z - self._c
         margin = self._side * (self.rho - np.abs(u))
         if not margin.min() > 0.0:
-            self._refuse(z[np.argmin(margin)])
+            side = "inside" if self._side > 0 else "outside"
+            p = z[np.argmin(margin)]
+            raise self._off_side(f"{_point(p)} is not {side} the disk")
         return u
 
-    def _Q(self, u, v) -> float:
-        r2 = self.rho * self.rho
-        return r2 * r2 - 2.0 * r2 * float(u @ v) + float(u @ u) * float(v @ v)
-
-    def k(self, x, y) -> float:
-        u, v = self._local(x), self._local(y)
-        return math.log(self._Q(u, v) / self.rho**2) / (2.0 * _TWO_PI)
-
-    def grad_x_k(self, x, y) -> np.ndarray:
-        u, v = self._local(x), self._local(y)
-        return (u * float(v @ v) - self.rho**2 * v) / (_TWO_PI * self._Q(u, v))
-
-    def h(self, x) -> float:
+    def _k_cross(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         u = self._local(x)
-        return math.log(self._side * (self.rho**2 - float(u @ u)) / self.rho) / _TWO_PI
-
-    def grad_h(self, x) -> np.ndarray:
-        u = self._local(x)
-        return -u / (math.pi * (self.rho**2 - float(u @ u)))
-
-    def _k_pairs(self, z: np.ndarray) -> np.ndarray:
-        u = self._local_pairs(z)
+        v = u if y is x else self._local(y)
         # sqrt(Q) = |rho^2 - conj(u) v|, so k = log(sqrt(Q) / rho) / (2 pi)
-        return np.log(np.abs(self.rho**2 - u.conj()[:, None] * u) / self.rho) \
+        return np.log(np.abs(self.rho**2 - u.conj()[:, None] * v) / self.rho) \
             / _TWO_PI
 
-    def _grad_k_pairs(self, z: np.ndarray) -> np.ndarray:
+    def _grad_k_cross(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         # (u|v|^2 - rho^2 v) / (2 pi Q) = -v / (2 pi (rho^2 - conj(u) v))
-        u = self._local_pairs(z)
-        return u / (_TWO_PI * (u.conj()[:, None] * u - self.rho**2))
+        u = self._local(x)
+        v = u if y is x else self._local(y)
+        return v / (_TWO_PI * (u.conj()[:, None] * v - self.rho**2))
 
 
 class ExteriorDiskKernels(DiskKernels):
@@ -263,54 +242,29 @@ class HalfPlaneKernels(KernelEvaluator):
         self.offset = float(domain.offset)
         self._nu = complex(self.nu[0], self.nu[1])
 
-    def _depth(self, x) -> float:
-        p = _vec(x)
-        d = self.offset - float(p @ self.nu)
-        if d <= 0:
-            raise PointOutside(f"{_point(p)} is not inside the half plane")
-        return d
-
-    def _mirror(self, x) -> np.ndarray:
-        p = _vec(x)
-        return p + 2.0 * (self.offset - float(p @ self.nu)) * self.nu
-
-    def k(self, x, y) -> float:
-        self._depth(x)
-        self._depth(y)
-        xb = self._mirror(x)
-        v = _vec(y)
-        return math.log(math.hypot(xb[0] - v[0], xb[1] - v[1])) / _TWO_PI
-
-    def grad_x_k(self, x, y) -> np.ndarray:
-        self._depth(x)
-        self._depth(y)
-        xb = self._mirror(x)
-        w = xb - _vec(y)
-        # chain rule through the reflection x -> x - 2((x.nu)-off)nu
-        refl = w - 2.0 * float(w @ self.nu) * self.nu
-        return refl / (_TWO_PI * float(w @ w))
-
-    def h(self, x) -> float:
-        return math.log(2.0 * self._depth(x)) / _TWO_PI
-
-    def grad_h(self, x) -> np.ndarray:
-        return -self.nu / (_TWO_PI * self._depth(x))
-
-    def _mirror_pairs(self, z: np.ndarray) -> np.ndarray:
-        """mirror(z_i) - z_j for every pair."""
+    def _mirror(self, z: np.ndarray) -> np.ndarray:
+        """The image of each point across the boundary; refuses a point that
+        is not inside."""
         depth = self.offset - (z * self._nu.conjugate()).real
         if not depth.min() > 0.0:
             i = np.argmin(depth)
             raise PointOutside(f"{_point(z[i])} is not inside the half plane")
-        return (z + 2.0 * depth * self._nu)[:, None] - z
+        return z + 2.0 * depth * self._nu
 
-    def _k_pairs(self, z: np.ndarray) -> np.ndarray:
-        return np.log(np.abs(self._mirror_pairs(z))) / _TWO_PI
+    def _image_separations(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """mirror(x_i) - y_j for every target and source."""
+        xb = self._mirror(x)
+        if y is not x:
+            self._mirror(y)  # the sources' side check
+        return xb[:, None] - y
 
-    def _grad_k_pairs(self, z: np.ndarray) -> np.ndarray:
-        # the reflection w - 2 (w.nu) nu of w is -nu^2 conj(w), so the scalar
-        # form's reflection / (2 pi |w|^2) is -nu^2 / (2 pi w)
-        return -self._nu**2 / (_TWO_PI * self._mirror_pairs(z))
+    def _k_cross(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.log(np.abs(self._image_separations(x, y))) / _TWO_PI
+
+    def _grad_k_cross(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # chain rule through the reflection: the reflection w - 2 (w.nu) nu of
+        # w is -nu^2 conj(w), so reflection / (2 pi |w|^2) = -nu^2 / (2 pi w)
+        return -self._nu**2 / (_TWO_PI * self._image_separations(x, y))
 
 
 class PlaneKernels(KernelEvaluator):
@@ -319,28 +273,11 @@ class PlaneKernels(KernelEvaluator):
     def __init__(self, domain: Plane | None = None):
         self.domain = domain if domain is not None else Plane()
 
-    # the points are still parsed, so that a non-finite one is refused
-    def k(self, x, y) -> float:
-        _vec(x), _vec(y)
-        return 0.0
+    def _k_cross(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.zeros((len(x), len(y)))
 
-    def grad_x_k(self, x, y) -> np.ndarray:
-        _vec(x), _vec(y)
-        return np.zeros(2)
-
-    def h(self, x) -> float:
-        _vec(x)
-        return 0.0
-
-    def grad_h(self, x) -> np.ndarray:
-        _vec(x)
-        return np.zeros(2)
-
-    def _k_pairs(self, z: np.ndarray) -> np.ndarray:
-        return np.zeros((len(z), len(z)))
-
-    def _grad_k_pairs(self, z: np.ndarray) -> np.ndarray:
-        return np.zeros((len(z), len(z)), dtype=complex)
+    def _grad_k_cross(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.zeros((len(x), len(y)), dtype=complex)
 
 
 def analytic_kernels(domain: Domain) -> KernelEvaluator:

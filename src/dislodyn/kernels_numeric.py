@@ -18,18 +18,18 @@ regular part k(., y):
   full-grid solutions), whose dot product with the data is the node value.
   These rows are the module's only cache.
 
-``h`` is k(x, x) and ``grad h = 2 grad_x k(x, y)|_{y=x}``, where each
-backend differentiates its own solution exactly: the double layer in closed
-form, the grid's bilinear interpolant cell by cell.  A backend evaluates one
-source's data at an array of targets, so the batched methods cost one
-density solve (Nystrom) or one boundary-data evaluation (grid) per source.
-Every call computes its sources' data afresh: the dynamics never meets the
-same source twice.  The scalar methods refuse a point outside the domain;
-the batched path does no side check.  Below roughly one mesh width from the
-boundary (``min_eval_distance``) the quadrature cannot resolve the boundary
-data and the values are best-effort (with the nearest-density subtraction
-that keeps near-boundary evaluation usable); ``kernel-probe`` refuses such
-targets.  ``experiments.build_kernels`` picks the backend.
+Both backends supply the two targets x sources forms that
+``KernelEvaluator`` builds every other method from: one density solve
+(Nystrom) or one boundary-data evaluation (grid) per source, evaluated at
+all targets at once.  Each backend differentiates its own solution exactly:
+the double layer in closed form, the grid's bilinear interpolant cell by
+cell.  Every call computes its sources' data afresh: the dynamics never
+meets the same source twice.  The scalar methods refuse a point outside the
+domain; the batched path does no side check.  Below roughly one mesh width
+from the boundary (``min_eval_distance``) the quadrature cannot resolve the
+boundary data and the values are best-effort (with the nearest-density
+subtraction that keeps near-boundary evaluation usable); ``kernel-probe``
+refuses such targets.  ``experiments.build_kernels`` picks the backend.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import PointOutside, SolverDivergence
 from .geometry import (AxisAlignedPolygon, Disk, Domain, SmoothCurveDomain)
-from .kernels_analytic import KernelEvaluator, _as_real, _point, _vec
+from .kernels_analytic import KernelEvaluator, _as_real, _point
 
 __all__ = [
     "NumericKernelConfig",
@@ -63,52 +63,42 @@ class NumericKernelConfig:
     def __post_init__(self):
         if self.boundary_nodes < 64 or self.boundary_nodes % 2:
             raise ValueError("boundary_nodes must be even and >= 64")
-        if self.grid_spacing is not None and self.grid_spacing <= 0:
-            raise ValueError("grid_spacing must be positive")
+        if self.grid_spacing is not None and not 0 < self.grid_spacing < math.inf:
+            raise ValueError(
+                f"grid_spacing must be finite and positive, got {self.grid_spacing!r}")
 
 
 class _NumericBase(KernelEvaluator):
     backend = "numeric"
 
-    def k(self, x, y) -> float:
-        x, y = self._inside(x), self._inside(y)
-        return float(self._evaluate(self._solve(y), x[None, :])[0])
+    def _one(self, x) -> np.ndarray:
+        """A scalar method's point, refused unless in the domain: the
+        backends would extrapolate past the boundary without a word."""
+        z = super()._one(x)
+        if not self.domain.contains(_as_real(z)[0]):
+            raise PointOutside(f"{_point(z[0])} is not inside the domain")
+        return z
 
-    def grad_x_k(self, x, y) -> np.ndarray:
-        x, y = self._inside(x), self._inside(y)
-        return self._gradient(self._solve(y), x[None, :])[0]
+    def _per_source(self, hook, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """hook(data for y_j, all targets x) in column j: the data of each
+        source once."""
+        targets = _as_real(x)
+        return np.stack([hook(self._solve(s), targets) for s in _as_real(y)],
+                        axis=1)
 
-    def _inside(self, p) -> np.ndarray:
-        """A scalar method's point, refused unless finite and in the domain:
-        the backends would extrapolate past the boundary without a word."""
-        p = _vec(p)
-        if not self.domain.contains(p):
-            raise PointOutside(f"{_point(p)} is not inside the domain")
-        return p
+    def _k_cross(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self._per_source(self._evaluate, x, y)
 
-    def h(self, x) -> float:
-        return self.k(x, x)
-
-    def grad_h(self, x) -> np.ndarray:
-        # h'(x) = 2 grad_x k(x, y)|_{y=x} by symmetry of k
-        return 2.0 * self.grad_x_k(x, x)
-
-    def _per_source(self, hook, z: np.ndarray) -> np.ndarray:
-        """hook(data for z_j, all n points) in column j: the data of each
-        source once and no side check, unlike the scalar path."""
-        pts = _as_real(z)
-        return np.stack([hook(self._solve(y), pts) for y in pts], axis=1)
+    def _grad_k_cross(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self._per_source(self._gradient, x, y).view(complex)[..., 0]
 
     def _k_pairs(self, z: np.ndarray) -> np.ndarray:
-        out = self._per_source(self._evaluate, z)
+        out = self._k_cross(z, z)
         # numeric k is symmetric only up to discretisation: mirror the upper
         # triangle so that G is exactly symmetric
         lower = np.tril_indices(len(z), -1)
         out[lower] = out.T[lower]
         return out
-
-    def _grad_k_pairs(self, z: np.ndarray) -> np.ndarray:
-        return self._per_source(self._gradient, z).view(complex)[..., 0]
 
     # hooks provided by the concrete backends; points is an (m, 2) array
     def _solve(self, y: np.ndarray):

@@ -129,6 +129,18 @@ class TestSimulate:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "StepFailure"
 
+    def test_nan_horizon_refused(self, tmp_path, capsys):
+        # json.load accepts the NaN literal that json.dumps writes here
+        cfgp = write_config(tmp_path, "nan.json", {
+            "domain": {"kind": "disk"},
+            "dislocations": [{"position": [0.5, 0.0], "burgers": 1}],
+            "integration": {"t_max": math.nan}})
+        assert main(["simulate", "--config", cfgp,
+                     "--out", str(tmp_path / "no")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "t_max" in err["message"]
+
     def test_start_too_close_exit_code(self, tmp_path, capsys):
         # a start must lie more than 2 eps_stop = 4e-4 from the unit
         # disk's boundary; this one is 1e-4 from it

@@ -158,3 +158,21 @@ class TestNumericalContracts:
         traj = integrate(cfg([(0.8, 0)], [1]), disk, disk_kernels,
                          params=IntegrationParams(max_steps=2))
         assert traj.termination.kind == "failure"
+
+
+class TestParams:
+    @pytest.mark.parametrize("field,value", [
+        ("t_max", math.nan), ("t_max", 0.0), ("t_max", -math.inf),
+        ("rel_tol", math.nan), ("rel_tol", math.inf), ("rel_tol", 0.0),
+        ("abs_tol", math.nan), ("abs_tol", math.inf), ("abs_tol", -1e-10),
+        ("eps_stop", math.nan), ("eps_stop", math.inf), ("eps_stop", 0.0),
+        ("max_steps", 0), ("max_steps", 2.5), ("max_steps", math.nan),
+    ])
+    def test_invalid_value_refused(self, field, value):
+        # NaN passes a plain `<= 0` test; a NaN t_max or tolerance then
+        # hangs the solver and a NaN eps_stop disables every event
+        with pytest.raises(ValueError, match=field):
+            IntegrationParams(**{field: value})
+
+    def test_unbounded_horizon_allowed(self):
+        assert IntegrationParams(t_max=math.inf).t_max == math.inf

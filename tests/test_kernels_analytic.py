@@ -24,6 +24,96 @@ def fd_grad(f, x, step=1e-6):
     ])
 
 
+def reference_disk(rho, center=(0.0, 0.0), side=1.0):
+    """k, grad_x k, h and grad h of a disk (side 1) or its exterior (side
+    -1) in real-vector form, k = log(Q / rho^2) / (4 pi), written apart
+    from the library's complex bodies as an independent check."""
+    c = np.asarray(center, float)
+
+    def Q(u, v):
+        r2 = rho * rho
+        return r2 * r2 - 2.0 * r2 * (u @ v) + (u @ u) * (v @ v)
+
+    def k(x, y):
+        u, v = x - c, y - c
+        return math.log(Q(u, v) / rho**2) / (2.0 * TWO_PI)
+
+    def grad_x_k(x, y):
+        u, v = x - c, y - c
+        return (u * (v @ v) - rho**2 * v) / (TWO_PI * Q(u, v))
+
+    def h(x):
+        u = x - c
+        return math.log(side * (rho**2 - u @ u) / rho) / TWO_PI
+
+    def grad_h(x):
+        u = x - c
+        return -u / (math.pi * (rho**2 - u @ u))
+
+    return k, grad_x_k, h, grad_h
+
+
+def reference_half_plane(normal, offset):
+    """The same four functions of the half plane {x . nu < offset} through
+    the mirror point, in real-vector form."""
+    nu = np.asarray(normal, float)
+
+    def depth(x):
+        return offset - x @ nu
+
+    def k(x, y):
+        w = x + 2.0 * depth(x) * nu - y
+        return math.log(math.hypot(w[0], w[1])) / TWO_PI
+
+    def grad_x_k(x, y):
+        w = x + 2.0 * depth(x) * nu - y
+        # chain rule through the reflection x -> x - 2 ((x . nu) - offset) nu
+        return (w - 2.0 * (w @ nu) * nu) / (TWO_PI * (w @ w))
+
+    def h(x):
+        return math.log(2.0 * depth(x)) / TWO_PI
+
+    def grad_h(x):
+        return -nu / (TWO_PI * depth(x))
+
+    return k, grad_x_k, h, grad_h
+
+
+REFERENCE_CASES = {
+    "unit_disk": (Disk(), reference_disk(1.0), (-1.0, 1.0)),
+    "offcenter_disk": (Disk(center=(0.4, -0.7), radius=1.6),
+                       reference_disk(1.6, (0.4, -0.7)), (-1.4, 2.2)),
+    "exterior_disk": (ExteriorDisk(), reference_disk(1.0, side=-1.0), (-3.0, 3.0)),
+    "offcenter_exterior_disk": (
+        ExteriorDisk(center=(-0.5, 0.3), radius=0.7),
+        reference_disk(0.7, (-0.5, 0.3), side=-1.0), (-3.0, 3.0)),
+    "upper_half_plane": (HalfPlane.upper(), reference_half_plane((0.0, -1.0), 0.0),
+                         (-2.0, 2.0)),
+    "rotated_half_plane": (HalfPlane(normal=(0.6, 0.8), offset=0.2),
+                           reference_half_plane((0.6, 0.8), 0.2), (-2.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_scalar_methods_match_reference(case, rng):
+    domain, (k, grad_x_k, h, grad_h), (lo, hi) = REFERENCE_CASES[case]
+    ev = analytic_kernels(domain)
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+    checked = 0
+    while checked < 200:
+        x, y = rng.uniform(lo, hi, (2, 2))
+        if min(domain.signed_distance(x), domain.signed_distance(y)) < 0.05:
+            continue
+        assert close(ev.k(x, y), k(x, y))
+        assert close(ev.grad_x_k(x, y), grad_x_k(x, y))
+        assert close(ev.h(x), h(x))
+        assert close(ev.grad_h(x), grad_h(x))
+        checked += 1
+
+
 class TestGreenDisk:
     def test_center_source(self):
         # with y at the origin the regular part cancels

@@ -350,6 +350,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             NumericKernelConfig(grid_spacing=-0.1)
 
+    @pytest.mark.parametrize("spacing", [math.nan, math.inf, 0.0])
+    def test_grid_spacing_finite_and_positive(self, spacing):
+        # NaN would fail in int(); +inf would build the 8-cell minimum grid
+        with pytest.raises(ValueError, match="grid_spacing"):
+            NumericKernelConfig(grid_spacing=spacing)
+
 
 class TestNumericGreenGradients:
     def test_disk_grad_x_G_matches_analytic(self, disk, disk_integral, rng):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dislodyn.errors import CoincidentPoints, PointInsideDisk, PointOutside
 from dislodyn.geometry import (AxisAlignedPolygon, Configuration, Disk,
                                ExteriorDisk, HalfPlane, Plane)
-from dislodyn.kernels_analytic import DiskKernels, analytic_kernels
+from dislodyn.kernels_analytic import analytic_kernels
 from dislodyn.kernels_numeric import (GridKernels, NumericKernelConfig,
                                       NystromKernels)
 from dislodyn.mechanics import (GlideSet, energy, energy_from_arrays, forces,
@@ -307,21 +307,24 @@ class TestBatchedAssembly:
                     assemble(np.array(pts), b, ev)
                 assert named in str(exc.value)
 
-    @pytest.mark.parametrize("make", [
-        lambda: DiskKernels(Disk()),
-        lambda: NystromKernels(Disk(), NumericKernelConfig(boundary_nodes=64)),
-        lambda: GridKernels(Disk(), NumericKernelConfig(grid_spacing=1 / 16)),
-    ], ids=["analytic", "nystrom", "grid"])
-    def test_disk_forces_use_no_scalar_calls(self, make, monkeypatch, rng):
+    @pytest.mark.parametrize("case", [
+        pytest.param("disk", id="analytic"),
+        pytest.param("nystrom_disk", id="nystrom"),
+        pytest.param("grid_square", id="grid"),
+        "exterior_disk", "half_plane", "plane",
+    ])
+    def test_disk_forces_use_no_scalar_calls(self, case, monkeypatch, rng):
+        # the scalar methods live on the base class, which is in every MRO
         def refuse(*args):
             raise AssertionError("scalar kernel call")
 
+        make, sampler = BATCHED_CASES[case]
         ev = make()
         for cls in type(ev).__mro__:
             for name in ("grad_x_G", "grad_x_k", "grad_h", "G", "k", "h"):
                 if name in vars(cls):
                     monkeypatch.setattr(cls, name, refuse)
-        pts = spread_points(rng, lambda r: r.uniform(-0.65, 0.65, 2), 20)
+        pts = spread_points(rng, sampler, 20)
         b = rng.choice([-1, 1], 20)
         assert np.all(np.isfinite(forces_from_arrays(pts, b, ev)))
         assert math.isfinite(energy_from_arrays(pts, b, ev))
