@@ -23,7 +23,7 @@ rate the pair dynamics actually obeys; the looser variant
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -195,22 +195,16 @@ class BoundReport:
     violations: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        def clean(v):
-            if isinstance(v, float) and not math.isfinite(v):
-                return repr(v)
-            return v
+        return _json_floats(asdict(self))
 
-        return {
-            "scenario": self.scenario,
-            "inputs": {k: clean(v) for k, v in self.inputs.items()},
-            "constants": {k: clean(v) for k, v in self.constants.items()},
-            "t_collision_bound": clean(self.t_collision_bound),
-            "safe_window": clean(self.safe_window),
-            "sufficiency_lhs": clean(self.sufficiency_lhs),
-            "sufficiency_rhs": clean(self.sufficiency_rhs),
-            "verdict": self.verdict,
-            "violations": list(self.violations),
-        }
+
+def _json_floats(v):
+    """v with every non-finite float, at any depth, replaced by its repr."""
+    if isinstance(v, dict):
+        return {k: _json_floats(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_json_floats(x) for x in v]
+    return repr(v) if isinstance(v, float) and not math.isfinite(v) else v
 
 
 def boundary_scenario(n: int, rho: float, sigma: float, delta0: float,
@@ -375,13 +369,7 @@ class TrajectoryCheck:
     details: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "termination_matches": self.termination_matches,
-            "time_within_bound": self.time_within_bound,
-            "margin": self.margin,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def verify_against_trajectory(report: BoundReport, traj: Trajectory,

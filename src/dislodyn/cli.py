@@ -21,7 +21,7 @@ from . import bounds as bounds_mod
 from . import oracles as oracles_mod
 from .errors import PointOutside, TargetTooCloseToBoundary
 from .experiments import (build_domain, build_kernels, load_config,
-                          run_ensemble, run_simulation)
+                          run_ensemble, run_simulation, write_json)
 
 __all__ = ["main"]
 
@@ -136,10 +136,7 @@ def cmd_bounds(args) -> int:
                                         diam=math.inf)
     payload = report.to_dict()
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "bounds.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        write_json(args.out, "bounds.json", payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
@@ -174,10 +171,7 @@ def cmd_oracle(args) -> int:
                 / result.collision_time
         payload["simulated_termination"] = side["termination"]["kind"]
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "oracle.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        write_json(args.out, "oracle.json", payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 

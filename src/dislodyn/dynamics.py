@@ -141,13 +141,9 @@ def corrected_collision_time(stop_time: float, kind: str, eps_stop: float) -> fl
     raise ValueError(f"unknown collision kind {kind!r}")
 
 
-class _StepBudgetExceeded(Exception):
-    pass
-
-
 def _run_stats(nfev: int, n_samples: int) -> dict:
     """Counts of one run; ``accepted_steps`` counts the steps the trajectory
-    keeps, which is none when the step budget runs out."""
+    keeps."""
     stats = {
         "nfev": int(nfev),
         "n_samples": int(n_samples),
@@ -179,12 +175,15 @@ def integrate(config: Configuration, domain: Domain, kernels: KernelEvaluator,
         raise StartTooClose("initial configuration too close to the event set "
                             f"(min separation {separation:.3g}, need > {2.0 * eps:g})")
 
+    max_nfev = 7 * params.max_steps
     budget = {"nfev": 0}
 
     def rhs(t, y):
         budget["nfev"] += 1
-        if budget["nfev"] > 7 * params.max_steps:
-            raise _StepBudgetExceeded
+        if budget["nfev"] > max_nfev:
+            # budget spent: poisoned stages shrink the step until solve_ivp
+            # gives up, and the trajectory keeps the steps it accepted
+            return np.full(2 * n, np.nan)
         z = y.reshape(n, 2)
         try:
             f = forces_from_arrays(z, burgers, kernels)
@@ -218,18 +217,14 @@ def integrate(config: Configuration, domain: Domain, kernels: KernelEvaluator,
             event_meta.append(("pair", (i, j)))
 
     y0 = config.positions.ravel()
-    try:
-        sol = solve_ivp(rhs, (0.0, params.t_max), y0, method="RK45",
-                        rtol=params.rel_tol, atol=params.abs_tol,
-                        events=events, dense_output=True)
-    except _StepBudgetExceeded:
-        return Trajectory(np.array([0.0]), config.positions[None], burgers,
-                          StepFailure("step budget exceeded"),
-                          _run_stats(budget["nfev"], 1), eps)
+    sol = solve_ivp(rhs, (0.0, params.t_max), y0, method="RK45",
+                    rtol=params.rel_tol, atol=params.abs_tol,
+                    events=events, dense_output=True)
 
     times = sol.t
     states = sol.y.T.reshape(-1, n, 2)
-    stats = _run_stats(sol.nfev, len(sol.t))
+    # the evaluations past the budget only wound the solver down
+    stats = _run_stats(min(sol.nfev, max_nfev), len(sol.t))
 
     if sol.status == 1:
         # earliest terminal event; scipy stops at the first in time but we
@@ -250,6 +245,9 @@ def integrate(config: Configuration, domain: Domain, kernels: KernelEvaluator,
     elif sol.status == 0:
         term = HorizonReached(params.t_max)
     else:
-        term = StepFailure(sol.message)
+        term = StepFailure("step budget exceeded" if budget["nfev"] > max_nfev
+                           else sol.message)
 
-    return Trajectory(times, states, burgers, term, stats, eps, sol.sol)
+    # a run that kept only its start has no dense output
+    return Trajectory(times, states, burgers, term, stats, eps,
+                      sol.sol if len(times) > 1 else None)

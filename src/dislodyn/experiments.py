@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -43,13 +44,14 @@ __all__ = [
     "EnsembleSummary",
     "write_trajectory_csv",
     "trajectory_sidecar",
+    "write_json",
     "RNG_DESCRIPTION",
 ]
 
 RNG_DESCRIPTION = "PCG64 via numpy SeedSequence([master_seed, run_index])"
 
 _DEFAULTS = {
-    "domain": {"kind": "disk", "center": [0.0, 0.0], "radius": 1.0},
+    "domain": {"kind": "disk"},
     "dislocations": None,
     "sampling": None,
     "mobility": {"kind": "identity"},
@@ -86,18 +88,23 @@ def dump_config(cfg: dict) -> str:
     return json.dumps(normalize_config(cfg), indent=2, sort_keys=True)
 
 
+def write_json(out_dir: str, name: str, payload: dict) -> None:
+    """Write payload as sorted, indented JSON to out_dir/name."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+
+
+_DOMAINS = {"disk": Disk, "exterior_disk": ExteriorDisk,
+            "half_plane": HalfPlane, "plane": Plane}
+
+
 def build_domain(spec: dict) -> Domain:
     kind = spec.get("kind", "disk")
-    if kind == "disk":
-        return Disk(tuple(spec.get("center", (0.0, 0.0))), spec.get("radius", 1.0))
-    if kind == "exterior_disk":
-        return ExteriorDisk(tuple(spec.get("center", (0.0, 0.0))),
-                            spec.get("radius", 1.0))
-    if kind == "half_plane":
-        return HalfPlane(tuple(spec.get("normal", (0.0, -1.0))),
-                         spec.get("offset", 0.0))
-    if kind == "plane":
-        return Plane()
+    # JSON lists become the tuples the domains hold
+    spec = {k: tuple(v) if isinstance(v, list) else v for k, v in spec.items()}
+    if kind in _DOMAINS:
+        return _from_spec(_DOMAINS[kind], spec)
     if kind == "polygon":
         return AxisAlignedPolygon(spec["vertices"])
     if kind == "parametric":
@@ -107,12 +114,8 @@ def build_domain(spec: dict) -> Domain:
         builtin = spec.get("builtin", "cardioid")
         if builtin != "cardioid":
             raise ValueError(f"unknown builtin curve {builtin!r}")
-        kwargs = {}
-        if "a" in spec:
-            kwargs["a"] = spec["a"]
-        if "offset" in spec:
-            kwargs["offset"] = tuple(spec["offset"])
-        return cardioid_domain(**kwargs)
+        return cardioid_domain(**{k: spec[k] for k in ("a", "offset")
+                                  if k in spec})
     raise ValueError(f"unknown domain kind {kind!r}")
 
 
@@ -159,6 +162,11 @@ def build_params(spec: dict) -> IntegrationParams:
     return _from_spec(IntegrationParams, spec)
 
 
+def _run_rng(seed, run_index: int) -> np.random.Generator:
+    """The generator of run ``run_index``; see ``RNG_DESCRIPTION``."""
+    return np.random.default_rng(np.random.SeedSequence([seed, run_index]))
+
+
 def build_configuration(cfg: dict, domain: Domain,
                         rng: np.random.Generator | None = None) -> Configuration:
     if cfg.get("dislocations"):
@@ -168,17 +176,19 @@ def build_configuration(cfg: dict, domain: Domain,
     if not cfg.get("sampling"):
         raise ValueError("config needs either dislocations or sampling")
     if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.get("seed", 0), 0]))
+        rng = _run_rng(cfg.get("seed", 0), 0)
     return _sample(cfg["sampling"], domain, rng)
 
 
 def _sample(samp: dict, domain: Domain,
             rng: np.random.Generator) -> Configuration:
     """Draw the configuration a ``sampling`` spec describes."""
+    if samp.get("class", "D") != "D":
+        raise ValueError(f"sampling.class must be 'D', got {samp['class']!r}")
     return sample_class_D(rng, domain, samp.get("n", 2), samp["delta0"],
                           samp["gamma0"],
-                          burgers_first=samp.get("burgers_first", 1),
-                          burgers_rest=samp.get("burgers_rest", "random"))
+                          **{k: samp[k] for k in ("burgers_first", "burgers_rest")
+                             if k in samp})
 
 
 def _uniform_in_disk(rng: np.random.Generator, disk: Disk) -> np.ndarray:
@@ -199,49 +209,24 @@ def sample_class_D(rng: np.random.Generator, domain: Domain, n: int,
     """
     if not isinstance(domain, Disk):
         raise ValueError("sampling is implemented for disk domains")
+    points = []
     tries = 0
-    accepts = 0
-
-    def bump():
-        nonlocal tries
+    while len(points) < n:
         tries += 1
         if tries > max_tries or (tries >= 10_000
-                                 and accepts < 1e-4 * tries):
+                                 and len(points) < 1e-4 * tries):
             raise RejectionOverflow(
-                f"sampling acceptance below 1e-4 ({accepts}/{tries})")
-
-    def propose_first():
-        nonlocal accepts
-        while True:
-            bump()
-            p = _uniform_in_disk(rng, domain)
-            if domain.probe(p).distance < delta0:
-                accepts += 1
-                return p
-
-    def propose_rest():
-        nonlocal accepts
-        out = []
-        while len(out) < n - 1:
-            bump()
-            p = _uniform_in_disk(rng, domain)
-            if domain.probe(p).distance <= gamma0:
-                continue
-            if any(np.linalg.norm(p - q) <= gamma0 for q in out):
-                continue
-            accepts += 1
-            out.append(p)
-        return out
-
-    z1 = propose_first()
-    rest = propose_rest()
-    burgers = [burgers_first]
-    for _ in range(n - 1):
-        if burgers_rest == "random":
-            burgers.append(int(rng.choice((-1, 1))))
-        else:
-            burgers.append(int(burgers_rest))
-    config = Configuration.from_arrays([z1] + rest, burgers)
+                f"sampling acceptance below 1e-4 ({len(points)}/{tries})")
+        p = _uniform_in_disk(rng, domain)
+        d = domain.probe(p).distance
+        if (d < delta0) if not points else (
+                d > gamma0 and all(np.linalg.norm(p - q) > gamma0
+                                   for q in points[1:])):
+            points.append(p)
+    burgers = [burgers_first] + [
+        int(rng.choice((-1, 1))) if burgers_rest == "random" else int(burgers_rest)
+        for _ in range(n - 1)]
+    config = Configuration.from_arrays(points, burgers)
     assert in_class_D(config, domain, delta0, gamma0)
     return config
 
@@ -250,17 +235,18 @@ def _dislocation_columns(n: int) -> list[str]:
     return [f"{c}{i}" for i in range(1, n + 1) for c in "xyb"]
 
 
+def _dislocation_cells(positions, burgers) -> list[str]:
+    """The x1, y1, b1, ..., xn, yn, bn cells of one configuration."""
+    return [v for (x, y), b in zip(positions, burgers)
+            for v in (repr(float(x)), repr(float(y)), str(int(b)))]
+
+
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
-    n = traj.states.shape[1]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["t"] + _dislocation_columns(n))
+        w.writerow(["t"] + _dislocation_columns(traj.states.shape[1]))
         for t, z in zip(traj.times, traj.states):
-            row = [repr(float(t))]
-            for i in range(n):
-                row += [repr(float(z[i, 0])), repr(float(z[i, 1])),
-                        str(int(traj.burgers[i]))]
-            w.writerow(row)
+            w.writerow([repr(float(t))] + _dislocation_cells(z, traj.burgers))
 
 
 def _termination_dict(term) -> dict:
@@ -279,9 +265,7 @@ def trajectory_sidecar(traj: Trajectory, params: IntegrationParams,
         "raw_time": term.get("stop_time"),
         "corrected_time": term.get("corrected_time"),
         "event_indices": [term[k] for k in ("index", "i", "j") if k in term],
-        "params": {"t_max": params.t_max, "rel_tol": params.rel_tol,
-                   "abs_tol": params.abs_tol, "eps_stop": traj.eps_stop,
-                   "max_steps": params.max_steps},
+        "params": {**asdict(params), "eps_stop": traj.eps_stop},
         "seed": seed,
         "rng": RNG_DESCRIPTION,
         "stats": traj.stats,
@@ -304,8 +288,7 @@ def run_simulation(cfg: dict, out_dir: str | None = None):
     kernels = build_kernels(domain, cfg["kernel"])
     mobility = build_mobility(cfg["mobility"])
     params = build_params(cfg["integration"])
-    rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], 0]))
-    config = build_configuration(cfg, domain, rng)
+    config = build_configuration(cfg, domain, _run_rng(cfg["seed"], 0))
     report = None
     if cfg.get("bounds"):
         report = bounds_mod.scenario_report(cfg["bounds"], n=config.n,
@@ -321,11 +304,8 @@ def run_simulation(cfg: dict, out_dir: str | None = None):
             side["bound_check"] = {"error": type(exc).__name__,
                                    "message": str(exc)}
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+        write_json(out_dir, "trajectory.json", side)
         write_trajectory_csv(traj, os.path.join(out_dir, "trajectory.csv"))
-        with open(os.path.join(out_dir, "trajectory.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(side, fh, indent=2, sort_keys=True)
     return traj, side
 
 
@@ -339,15 +319,11 @@ class EnsembleSummary:
     def __post_init__(self):
         times = self.boundary_times
         if times and not self.bin_counts:
-            lo = 0.0
-            hi = max(times)
-            nbins = max(1, int(math.ceil((hi - lo) / self.bin_width + 1e-12)))
+            nbins = max(1, int(math.ceil(max(times) / self.bin_width + 1e-12)))
             counts = [0] * nbins
             for t in times:
-                k = min(int((t - lo) / self.bin_width), nbins - 1)
-                counts[k] += 1
+                counts[min(int(t / self.bin_width), nbins - 1)] += 1
             self.bin_counts = counts
-            self.bin_left = lo
 
     @property
     def boundary_times(self) -> list[float]:
@@ -385,10 +361,8 @@ def _ensemble_worker(args):
     kernels = build_kernels(domain, cfg["kernel"])
     mobility = build_mobility(cfg["mobility"])
     params = build_params(cfg["integration"])
-    rng = np.random.default_rng(
-        np.random.SeedSequence([cfg["seed"], run_index]))
     # every run samples, even when the config also lists dislocations
-    config = _sample(cfg["sampling"], domain, rng)
+    config = _sample(cfg["sampling"], domain, _run_rng(cfg["seed"], run_index))
     try:
         traj = integrate(config, domain, kernels, mobility, params)
     except StartTooClose as exc:
@@ -415,7 +389,13 @@ def run_ensemble(cfg: dict, out_dir: str | None = None,
     cfg = normalize_config(cfg)
     if not cfg.get("sampling"):
         raise ValueError("ensemble needs a sampling spec")
-    n_runs = int(cfg["ensemble_size"])
+    # refused before the first run, not after the last
+    n_runs, width = cfg["ensemble_size"], cfg["histogram_bin_width"]
+    if not (isinstance(n_runs, numbers.Integral) and n_runs >= 1):
+        raise ValueError(f"ensemble_size must be an integer >= 1, got {n_runs!r}")
+    if not 0 < width < math.inf:
+        raise ValueError(
+            f"histogram_bin_width must be finite and positive, got {width!r}")
     jobs = [(cfg, i) for i in range(n_runs)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -423,10 +403,12 @@ def run_ensemble(cfg: dict, out_dir: str | None = None,
     else:
         records = [_ensemble_worker(j) for j in jobs]
     records.sort(key=lambda r: r["run"])
-    summary = EnsembleSummary(records, cfg["histogram_bin_width"])
+    summary = EnsembleSummary(records, width)
 
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+        payload = summary.to_dict(delta0=cfg["sampling"].get("delta0"))
+        payload["created"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+        write_json(out_dir, "summary.json", payload)
         with open(os.path.join(out_dir, "runs.csv"), "w", newline="",
                   encoding="utf-8") as fh:
             w = csv.writer(fh)
@@ -434,14 +416,13 @@ def run_ensemble(cfg: dict, out_dir: str | None = None,
             w.writerow(["run", "kind", "raw_time", "corrected_time"]
                        + _dislocation_columns(n) + ["n_samples"])
             for r in records:
-                starts = [v for (x, y), b in zip(r["initial"], r["burgers"])
-                          for v in (repr(x), repr(y), str(b))]
                 w.writerow([
                     r["run"], r["termination"]["kind"],
                     "" if r["raw_time"] is None else repr(float(r["raw_time"])),
                     "" if r["corrected_time"] is None
                     else repr(float(r["corrected_time"])),
-                    *starts, r["n_samples"],
+                    *_dislocation_cells(r["initial"], r["burgers"]),
+                    r["n_samples"],
                 ])
         with open(os.path.join(out_dir, "histogram.csv"), "w", newline="",
                   encoding="utf-8") as fh:
@@ -451,10 +432,4 @@ def run_ensemble(cfg: dict, out_dir: str | None = None,
                 w.writerow([repr(summary.bin_left + k * summary.bin_width),
                             repr(summary.bin_left + (k + 1) * summary.bin_width),
                             c])
-        samp = cfg["sampling"]
-        with open(os.path.join(out_dir, "summary.json"), "w",
-                  encoding="utf-8") as fh:
-            payload = summary.to_dict(delta0=samp.get("delta0"))
-            payload["created"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-            json.dump(payload, fh, indent=2, sort_keys=True)
     return summary

@@ -343,6 +343,17 @@ class TestScenarioReport:
         with pytest.raises(ValueError, match="unknown bounds scenario"):
             scenario_report({"scenario": "typo"}, None, math.inf)
 
+    def test_to_dict_writes_non_finite_as_repr(self):
+        d = pair_scenario(2, math.inf, 0.5, 0.1).to_dict()
+        assert list(d) == ["scenario", "inputs", "constants",
+                           "t_collision_bound", "safe_window",
+                           "sufficiency_lhs", "sufficiency_rhs", "verdict",
+                           "violations"]
+        assert list(d["inputs"].items()) == [
+            ("n", 2), ("diam", "inf"), ("eta0", 0.5), ("zeta0", 0.1)]
+        assert d["safe_window"] == d["sufficiency_rhs"] == "inf"
+        assert d["verdict"] == "holds" and d["violations"] == []
+
 
 class TestVerifyAgainstTrajectory:
     def test_halfplane_boundary_scenario(self):

@@ -8,11 +8,13 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from dislodyn import experiments
 from dislodyn.cli import main
 from dislodyn.dynamics import IntegrationParams
 from dislodyn.experiments import (build_domain, build_kernels, dump_config,
                                   normalize_config, run_ensemble,
                                   run_simulation)
+from dislodyn.geometry import Disk, ExteriorDisk, HalfPlane
 from dislodyn.kernels_analytic import (DiskKernels, ExteriorDiskKernels,
                                        HalfPlaneKernels, PlaneKernels)
 from dislodyn.kernels_numeric import (GridKernels, NumericKernelConfig,
@@ -229,7 +231,8 @@ class TestEnsemble:
         s = run_ensemble(dict(self.CFG, ensemble_size=4,
                               integration={"max_steps": 5}))
         assert [r["termination"]["kind"] for r in s.records] == ["failure"] * 4
-        assert all(r["n_samples"] == 1 for r in s.records)
+        # each run keeps the states it reached: at most one per step
+        assert all(1 < r["n_samples"] <= 6 for r in s.records)
 
     def test_refused_start_recorded(self):
         # seed 2, run 117 of the criterion-5 config starts with
@@ -257,6 +260,40 @@ class TestEnsemble:
         listed = dict(cfg, dislocations=[{"position": [0.0, 0.0]}])
         assert json.dumps(run_ensemble(cfg).records, sort_keys=True) == \
             json.dumps(run_ensemble(listed).records, sort_keys=True)
+
+    @pytest.mark.parametrize("key,value", [
+        ("histogram_bin_width", 0.0), ("histogram_bin_width", -0.005),
+        ("histogram_bin_width", math.nan), ("histogram_bin_width", math.inf),
+        ("ensemble_size", -3), ("ensemble_size", 0), ("ensemble_size", 2.5),
+    ])
+    def test_bad_input_refused_before_any_run(self, key, value, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(experiments, "integrate", no_run)
+        with pytest.raises(ValueError, match=key):
+            run_ensemble(dict(self.CFG, **{key: value}))
+
+    def test_unknown_sampling_class_refused(self):
+        cfg = dict(self.CFG, sampling=dict(self.CFG["sampling"], **{"class": "C"}))
+        with pytest.raises(ValueError, match="sampling.class"):
+            run_ensemble(cfg)
+        with pytest.raises(ValueError, match="sampling.class"):
+            run_simulation(cfg)
+
+    def test_first_starts_pinned(self):
+        # the criterion-5 starts of runs 0-2 at seed 42: any change to the
+        # sampler's random stream moves them
+        s = run_ensemble(dict(self.CFG, ensemble_size=3))
+        assert [r["initial"] for r in s.records] == [
+            [[0.7171958398227649, 0.3947360581187278],
+             [-0.3483492837236961, -0.25908058793026223]],
+            [[0.537946132689141, 0.6560447003045604],
+             [-0.06487231373723579, -0.30932613499192585]],
+            [[-0.42098208459927156, 0.9039934272302548],
+             [0.1833277748708113, -0.3383926390037224]],
+        ]
+        assert [r["burgers"] for r in s.records] == [[1, -1]] * 3
 
     def test_rejection_overflow(self):
         from dislodyn.errors import RejectionOverflow
@@ -291,6 +328,21 @@ class TestConfigRoundTrip:
         cfg = normalize_config({})
         assert cfg["integration"]["rel_tol"] == 1e-8
         assert cfg["kernel"]["boundary_nodes"] == 512
+
+    @pytest.mark.parametrize("domain", [
+        {"kind": "half_plane"},
+        {"kind": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]},
+    ])
+    def test_domain_keeps_only_given_keys(self, domain):
+        assert normalize_config({"domain": domain})["domain"] == domain
+
+    def test_domain_defaults_are_the_dataclass_defaults(self):
+        assert build_domain(normalize_config({})["domain"]) == Disk()
+        for kind, cls in (("disk", Disk), ("exterior_disk", ExteriorDisk),
+                          ("half_plane", HalfPlane)):
+            assert build_domain({"kind": kind}) == cls()
+        # JSON lists arrive as the tuples the domains hold
+        assert build_domain({"kind": "disk", "center": [1, 2]}).center == (1, 2)
 
 
 SQUARE = {"kind": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}

@@ -159,6 +159,26 @@ class TestNumericalContracts:
                          params=IntegrationParams(max_steps=2))
         assert traj.termination.kind == "failure"
 
+    @pytest.mark.parametrize("max_steps,n_samples", [(1, 1), (2, 2), (5, 4)])
+    def test_step_budget_keeps_progress(self, disk, disk_kernels, max_steps,
+                                        n_samples):
+        traj = integrate(cfg([(0.8, 0)], [1]), disk, disk_kernels,
+                         params=IntegrationParams(max_steps=max_steps))
+        assert traj.termination.reason == "step budget exceeded"
+        assert traj.stats["n_samples"] == len(traj.times) == n_samples
+        assert traj.stats["accepted_steps"] == n_samples - 1
+        # only the evaluations within the budget are counted
+        assert traj.stats["nfev"] <= 7 * max_steps
+        # the kept states follow the run outward along the x axis
+        assert np.all(np.diff(traj.times) > 0)
+        assert np.all(np.diff(traj.states[:, 0, 0]) > 0)
+        if n_samples > 1:
+            assert traj.positions_at(traj.times[-1]) == \
+                pytest.approx(traj.states[-1])
+        else:
+            with pytest.raises(ValueError, match="no dense output"):
+                traj.positions_at(0.0)
+
 
 class TestParams:
     @pytest.mark.parametrize("field,value", [
