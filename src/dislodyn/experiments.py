@@ -209,6 +209,8 @@ def sample_class_D(rng: np.random.Generator, domain: Domain, n: int,
     """
     if not isinstance(domain, Disk):
         raise ValueError("sampling is implemented for disk domains")
+    if n < 1:
+        raise ValueError(f"sampling n must be >= 1, got {n!r}")
     points = []
     tries = 0
     while len(points) < n:
@@ -265,7 +267,9 @@ def trajectory_sidecar(traj: Trajectory, params: IntegrationParams,
         "raw_time": term.get("stop_time"),
         "corrected_time": term.get("corrected_time"),
         "event_indices": [term[k] for k in ("index", "i", "j") if k in term],
-        "params": {**asdict(params), "eps_stop": traj.eps_stop},
+        # strict JSON: a non-finite value such as t_max = inf is written "inf"
+        "params": bounds_mod._json_floats({**asdict(params),
+                                           "eps_stop": traj.eps_stop}),
         "seed": seed,
         "rng": RNG_DESCRIPTION,
         "stats": traj.stats,

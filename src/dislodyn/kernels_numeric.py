@@ -7,29 +7,33 @@ regular part k(., y):
   smooth parametric curve (trapezoid rule in the parameter, curvature
   diagonal limit) or on a polygon (per-edge panels clustered toward the
   corners, where the self-interaction of a straight edge vanishes exactly).
-  The dense system matrix is LU-factorized once per domain; each source y
-  only costs a back-substitution.
+  The dense system matrix is LU-factorized once per domain and its factors
+  checked for finiteness there, once; the sources of a call share one
+  back-substitution, one column each, and each column is checked against
+  its own boundary data.
 * ``grid`` -- 5-point finite differences on a uniform grid over the
   bounding box with Dirichlet data transplanted from the nearest boundary
-  point; the sparse matrix is factorized once, evaluation interpolates
-  bilinearly between the four corners of the target's cell.  A source only
-  costs its boundary data: each interior node keeps one short adjoint row,
-  solved on first use and cached per node (LRU, never more memory than 32
-  full-grid solutions), whose dot product with the data is the node value.
-  These rows are the module's only cache.
+  point; the sparse matrix is symmetric and is factorized once under a
+  symmetric fill-reducing ordering (minimum degree on A^T + A), evaluation
+  interpolates bilinearly between the four corners of the target's cell.
+  A source only costs its boundary data: each interior node keeps one short
+  adjoint row, solved on first use and cached per node (LRU, never more
+  memory than 32 full-grid solutions), whose dot product with the data is
+  the node value.  These rows are the module's only cache.
 
 Both backends supply the two targets x sources forms that
-``KernelEvaluator`` builds every other method from: one density solve
-(Nystrom) or one boundary-data evaluation (grid) per source, evaluated at
-all targets at once.  Each backend differentiates its own solution exactly:
-the double layer in closed form, the grid's bilinear interpolant cell by
-cell.  Every call computes its sources' data afresh: the dynamics never
-meets the same source twice.  The scalar methods refuse a point outside the
-domain; the batched path does no side check.  Below roughly one mesh width
-from the boundary (``min_eval_distance``) the quadrature cannot resolve the
-boundary data and the values are best-effort (with the nearest-density
-subtraction that keeps near-boundary evaluation usable); ``kernel-probe``
-refuses such targets.  ``experiments.build_kernels`` picks the backend.
+``KernelEvaluator`` builds every other method from in one batched pass: the
+densities (Nystrom) or boundary data (grid) of all sources at once,
+evaluated at all targets at once.  Each backend differentiates its own
+solution exactly: the double layer in closed form, the grid's bilinear
+interpolant cell by cell.  Every call computes its sources' data afresh: the
+dynamics never meets the same source twice.  The scalar methods refuse a
+point outside the domain; the batched path does no side check.  Below
+roughly one mesh width from the boundary (``min_eval_distance``) the
+quadrature cannot resolve the boundary data and the values are best-effort
+(with the nearest-density subtraction that keeps near-boundary evaluation
+usable); ``kernel-probe`` refuses such targets.
+``experiments.build_kernels`` picks the backend.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgetrs
 
 from .errors import PointOutside, SolverDivergence
 from .geometry import (AxisAlignedPolygon, Disk, Domain, SmoothCurveDomain)
@@ -79,18 +84,11 @@ class _NumericBase(KernelEvaluator):
             raise PointOutside(f"{_point(z[0])} is not inside the domain")
         return z
 
-    def _per_source(self, hook, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """hook(data for y_j, all targets x) in column j: the data of each
-        source once."""
-        targets = _as_real(x)
-        return np.stack([hook(self._solve(s), targets) for s in _as_real(y)],
-                        axis=1)
-
     def _k_cross(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self._per_source(self._evaluate, x, y)
+        return self._evaluate(self._solve(_as_real(y)), _as_real(x))
 
     def _grad_k_cross(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self._per_source(self._gradient, x, y).view(complex)[..., 0]
+        return self._gradient(self._solve(_as_real(y)), _as_real(x))
 
     def _k_pairs(self, z: np.ndarray) -> np.ndarray:
         out = self._k_cross(z, z)
@@ -100,16 +98,25 @@ class _NumericBase(KernelEvaluator):
         out[lower] = out.T[lower]
         return out
 
-    # hooks provided by the concrete backends; points is an (m, 2) array
-    def _solve(self, y: np.ndarray):
-        """The backend's data for source y: its solution, or its boundary data."""
+    # hooks provided by the concrete backends; sources is a (p, 2) array,
+    # points an (m, 2) array, and _evaluate and _gradient return (m, p)
+    # arrays, the gradient as complex gx + i gy
+    def _solve(self, sources: np.ndarray):
+        """The backend's data for all sources at once: their densities, or
+        their boundary data."""
         raise NotImplementedError
 
-    def _evaluate(self, density, points: np.ndarray) -> np.ndarray:
+    def _evaluate(self, data, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _gradient(self, density, points: np.ndarray) -> np.ndarray:
+    def _gradient(self, data, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+
+def _log_distance(points: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """log|p_i - y_j| / (2 pi), shape (len(points), len(sources))."""
+    return np.log(np.hypot(points[:, :1] - sources[:, 0],
+                           points[:, 1:] - sources[:, 1])) / _TWO_PI
 
 
 def _polygon_panels(poly: AxisAlignedPolygon, n_nodes: int):
@@ -172,43 +179,61 @@ class NystromKernels(_NumericBase):
         m = kern - 0.5 * np.eye(len(self.nodes))
         self._matrix = m
         self._lu = sla.lu_factor(m)
+        # the factors never change: check them here once, not on every
+        # solve; any NaN or inf in them makes their sum non-finite
+        if not math.isfinite(self._lu[0].sum()):
+            raise SolverDivergence("boundary-integral LU factors are not finite")
         self.resolution = _TWO_PI * domain.diameter / n
         self.min_eval_distance = self.resolution
 
-    def _solve(self, y: np.ndarray) -> np.ndarray:
-        g = np.log(np.hypot(self.nodes[:, 0] - y[0],
-                            self.nodes[:, 1] - y[1])) / _TWO_PI
-        mu = sla.lu_solve(self._lu, g)
-        resid = float(np.max(np.abs(self._matrix @ mu - g)))
-        if not resid <= 1e-10 * (1.0 + float(np.max(np.abs(g)))):
-            raise SolverDivergence(f"boundary-integral solve residual {resid:g}")
+    def _solve(self, sources: np.ndarray) -> np.ndarray:
+        """The densities of all p sources, shape (N, p), each column checked
+        against its own boundary data."""
+        g = _log_distance(self.nodes, sources)
+        # LAPACK's getrs itself: lu_solve's argument handling added half
+        # again to a one-column solve
+        mu, _ = dgetrs(*self._lu, g)
+        resid = np.max(np.abs(self._matrix @ mu - g), axis=0)
+        ok = resid <= 1e-10 * (1.0 + np.max(np.abs(g), axis=0))
+        if not ok.all():
+            raise SolverDivergence(
+                f"boundary-integral solve residual {resid[np.argmin(ok)]:g}")
         return mu
 
-    def _near(self, mu: np.ndarray, points: np.ndarray):
-        """x - y_j and |x - y_j|^2 per target and node, mu at the nearest
-        node (mu*), and w_j (mu_j - mu*)."""
+    def _near(self, points: np.ndarray):
+        """x - y_j and |x - y_j|^2 per target and node, and each target's
+        nearest node."""
         dx = points[:, :1] - self.nodes[:, 0]
         dy = points[:, 1:] - self.nodes[:, 1]
         r2 = dx * dx + dy * dy
-        star = mu[np.argmin(r2, axis=1)]
-        return dx, dy, r2, star, self.weights * (mu - star[:, None])
+        return dx, dy, r2, np.argmin(r2, axis=1)
+
+    @staticmethod
+    def _against_nearest(kw: np.ndarray, mu: np.ndarray,
+                         nearest: np.ndarray) -> np.ndarray:
+        """sum_j kw_ij (mu_j - mu*_i) for every source, shape (m, p), with
+        mu*_i the density at target i's nearest node.  That node's own term
+        is zero: it is dropped, not left to cancel."""
+        kw[np.arange(len(kw)), nearest] = 0.0
+        return kw @ mu - kw.sum(axis=1)[:, None] * mu[nearest]
 
     def _evaluate(self, mu: np.ndarray, points: np.ndarray) -> np.ndarray:
-        dx, dy, r2, star, wmu = self._near(mu, points)
-        kern = (dx * self.normals[:, 0] + dy * self.normals[:, 1]) / (_TWO_PI * r2)
+        dx, dy, r2, nearest = self._near(points)
+        kw = (dx * self.normals[:, 0] + dy * self.normals[:, 1]) \
+            * (self.weights / (_TWO_PI * r2))
         # subtract the nearest density value: sum_j w_j K = -1 exactly,
         # which tames the nearly singular quadrature close to the boundary
-        return np.einsum("ij,ij->i", kern, wmu) - star
+        return self._against_nearest(kw, mu, nearest) - mu[nearest]
 
     def _gradient(self, mu: np.ndarray, points: np.ndarray) -> np.ndarray:
         # mu* is constant between nodes, so only the kernel is differentiated:
         # grad_x K(x, y) = (nu |r|^2 - 2 (r.nu) r) / (2 pi |r|^4), r = x - y
-        dx, dy, r2, _, wmu = self._near(mu, points)
+        dx, dy, r2, nearest = self._near(points)
         nx, ny = self.normals[:, 0], self.normals[:, 1]
         c = 2.0 * (dx * nx + dy * ny)
-        coef = wmu / (_TWO_PI * r2 * r2)
-        return np.stack([np.einsum("ij,ij->i", nx * r2 - c * dx, coef),
-                         np.einsum("ij,ij->i", ny * r2 - c * dy, coef)], axis=1)
+        kw = ((nx * r2 - c * dx) + 1j * (ny * r2 - c * dy)) \
+            * (self.weights / (_TWO_PI * r2 * r2))
+        return self._against_nearest(kw, mu, nearest)
 
 
 class GridKernels(_NumericBase):
@@ -224,6 +249,9 @@ class GridKernels(_NumericBase):
     """
 
     backend = "grid"
+    # node offsets of the corners 00, 10, 01, 11 of a cell
+    _CORNER_DI = np.array([0, 1, 0, 1])[:, None]
+    _CORNER_DJ = np.array([0, 0, 1, 1])[:, None]
 
     def __init__(self, domain: Domain, cfg: NumericKernelConfig = NumericKernelConfig()):
         self.domain = domain
@@ -251,6 +279,9 @@ class GridKernels(_NumericBase):
         self.hx = self.xs[1] - self.xs[0]
         self.hy = self.ys[1] - self.ys[0]
         self.h_grid = max(self.hx, self.hy)
+        self._origin = np.array([x0, y0])
+        self._steps = np.array([self.hx, self.hy])
+        self._last_cell = np.array([nx - 2, ny - 2])
 
         mesh = np.stack(np.meshgrid(self.xs, self.ys, indexing="ij"), axis=-1)
         inside = domain.contains_many(mesh.reshape(-1, 2)).reshape(nx, ny)
@@ -287,7 +318,9 @@ class GridKernels(_NumericBase):
                     b_nodes.append((a, b, coef))
         self._matrix = sp.csc_matrix((vals, (rows, cols)),
                                      shape=(n_unknown, n_unknown))
-        self._lu = spla.splu(self._matrix)
+        # the 5-point matrix is symmetric: a symmetric fill-reducing ordering
+        # halves the factor's fill against the default COLAMD
+        self._lu = spla.splu(self._matrix, permc_spec="MMD_AT_PLUS_A")
         self._b_rows = np.asarray(b_rows, dtype=int)
         self._b_points = np.array([self.proj[a, b] for a, b, _ in b_nodes])
         self._b_coefs = np.array([c for _, _, c in b_nodes])
@@ -298,10 +331,10 @@ class GridKernels(_NumericBase):
         self.resolution = self.h_grid
         self.min_eval_distance = 2.0 * self.h_grid
 
-    def _solve(self, y: np.ndarray):
-        """Source data: y, and the Dirichlet value g(y) at every coupling."""
-        return y, np.log(np.hypot(self._b_points[:, 0] - y[0],
-                                  self._b_points[:, 1] - y[1])) / _TWO_PI
+    def _solve(self, sources: np.ndarray):
+        """Source data: the sources, and the Dirichlet value g(y_j) at every
+        coupling, shape (C, p)."""
+        return sources, _log_distance(self._b_points, sources)
 
     def _node_rows(self, nodes: np.ndarray) -> np.ndarray:
         """The adjoint rows of the given interior nodes, one per line.  The
@@ -325,39 +358,44 @@ class GridKernels(_NumericBase):
             del rows[next(iter(rows))]
         return out
 
-    def _corners(self, source, points: np.ndarray):
-        """k(., y) at the corners 00, 10, 01, 11 of each point's cell, shape
-        (4, m), and the point's position (tx, ty) in the cell.  A corner
-        outside the domain takes the transplanted Dirichlet value."""
-        y, gb = source
+    def _corners(self, data, points: np.ndarray):
+        """k(., y_j) at the corners 00, 10, 01, 11 of each point's cell,
+        shape (4, m, p), and the point's position (tx, ty) in the cell,
+        each shape (m, 1).  A corner outside the domain takes the
+        transplanted Dirichlet value."""
+        sources, gb = data
         i, j, tx, ty = self._cell(points)
-        a = i + np.array([0, 1, 0, 1])[:, None]
-        b = j + np.array([0, 0, 1, 1])[:, None]
+        a = i + self._CORNER_DI
+        b = j + self._CORNER_DJ
         node = self._interior_index[a, b]
-        vals = np.empty(node.shape)
         inner = node >= 0
-        vals[inner] = self._node_rows(node[inner]) @ gb
-        p = self.proj[a[~inner], b[~inner]]
-        vals[~inner] = np.log(np.hypot(p[:, 0] - y[0], p[:, 1] - y[1])) / _TWO_PI
-        return vals, tx, ty
+        if inner.all():
+            vals = self._node_rows(node.ravel()) @ gb
+        else:
+            vals = np.empty((node.size, len(sources)))
+            flat = inner.ravel()
+            vals[flat] = self._node_rows(node[inner]) @ gb
+            vals[~flat] = _log_distance(self.proj[a[~inner], b[~inner]], sources)
+        return vals.reshape(4, len(points), -1), tx, ty
 
     def _cell(self, points: np.ndarray):
-        """Lower-left node (i, j) of each point's cell and the point's
-        position (tx, ty) in it; points past the grid use the edge cell."""
-        fx = (points[:, 0] - self.xs[0]) / self.hx
-        fy = (points[:, 1] - self.ys[0]) / self.hy
-        i = np.clip(np.floor(fx).astype(int), 0, len(self.xs) - 2)
-        j = np.clip(np.floor(fy).astype(int), 0, len(self.ys) - 2)
-        return i, j, fx - i, fy - j
+        """Lower-left node (i, j) of each point's cell, shape (m,), and the
+        point's position (tx, ty) in it, shape (m, 1); points past the grid
+        use the edge cell."""
+        f = (points - self._origin) / self._steps
+        ij = np.minimum(np.maximum(np.floor(f).astype(int), 0), self._last_cell)
+        t = f - ij
+        return ij[:, 0], ij[:, 1], t[:, 0:1], t[:, 1:2]
 
-    def _evaluate(self, source, points: np.ndarray) -> np.ndarray:
-        (g00, g10, g01, g11), tx, ty = self._corners(source, points)
-        return ((1 - tx) * (1 - ty) * g00 + tx * (1 - ty) * g10
-                + (1 - tx) * ty * g01 + tx * ty * g11)
+    def _evaluate(self, data, points: np.ndarray) -> np.ndarray:
+        (g00, g10, g01, g11), tx, ty = self._corners(data, points)
+        lo = g00 + tx * (g10 - g00)
+        return lo + ty * (g01 + tx * (g11 - g01) - lo)
 
-    def _gradient(self, source, points: np.ndarray) -> np.ndarray:
+    def _gradient(self, data, points: np.ndarray) -> np.ndarray:
         # exact derivative of the bilinear interpolant inside each cell
-        (g00, g10, g01, g11), tx, ty = self._corners(source, points)
-        return np.stack([((1 - ty) * (g10 - g00) + ty * (g11 - g01)) / self.hx,
-                         ((1 - tx) * (g01 - g00) + tx * (g11 - g10)) / self.hy],
-                        axis=1)
+        (g00, g10, g01, g11), tx, ty = self._corners(data, points)
+        dx0 = g10 - g00
+        twist = g11 - g01 - dx0
+        return ((dx0 + ty * twist) / self.hx
+                + 1j * ((g01 - g00 + tx * twist) / self.hy))

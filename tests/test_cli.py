@@ -143,6 +143,20 @@ class TestSimulate:
         assert err["error"] == "ValueError"
         assert "t_max" in err["message"]
 
+    def test_sidecar_is_strict_json(self, tmp_path):
+        cfgp = write_config(tmp_path, "inf.json",
+                            dict(HALFPLANE_SIM, integration={"t_max": math.inf}))
+        out = tmp_path / "io"
+        assert main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        side = json.loads((out / "trajectory.json").read_text(),
+                          parse_constant=refuse)
+        assert side["params"]["t_max"] == "inf"
+        assert side["termination"]["kind"] == "boundary"
+
     def test_start_too_close_exit_code(self, tmp_path, capsys):
         # a start must lie more than 2 eps_stop = 4e-4 from the unit
         # disk's boundary; this one is 1e-4 from it
@@ -304,6 +318,12 @@ class TestEnsemble:
         # fit in the unit disk
         with pytest.raises(RejectionOverflow):
             sample_class_D(rng, Disk(), 4, 0.05, 0.9, max_tries=30_000)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_sampling_needs_one_dislocation(self, n):
+        from dislodyn.experiments import sample_class_D
+        with pytest.raises(ValueError, match="sampling n must be >= 1"):
+            sample_class_D(np.random.default_rng(0), Disk(), n, 0.2, 0.5)
 
     def test_forced_b2_comparison(self):
         plus = dict(self.CFG, sampling=dict(self.CFG["sampling"],

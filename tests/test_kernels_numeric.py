@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgetrs
 from scipy.optimize import brentq
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
+from dislodyn import kernels_numeric
 from dislodyn.cli import main
 from dislodyn.errors import PointOutside, SolverDivergence
 from dislodyn.geometry import (_CARDIOID_A, AxisAlignedPolygon, Disk,
@@ -203,11 +205,89 @@ class TestGridRows:
         first, last = ev._interior_index[1, 1], ev._interior_index[-2, -2]
         assert first not in ev._rows and last in ev._rows
 
+    def test_factor_uses_symmetric_ordering(self, square):
+        ev = GridKernels(square, NumericKernelConfig(grid_spacing=1 / 64))
+        assert abs(ev._matrix - ev._matrix.T).max() == 0.0
+        mmd = splu(ev._matrix, permc_spec="MMD_AT_PLUS_A")
+        assert np.array_equal(ev._lu.perm_c, mmd.perm_c)
+        assert ev._lu.nnz == mmd.nnz < splu(ev._matrix).nnz
+
     def test_corrupted_factor_diverges(self, square):
         ev = GridKernels(square, NumericKernelConfig(grid_spacing=1 / 16))
         ev._lu = GarbageLU()
         with pytest.raises(SolverDivergence, match="residual"):
             ev.k((0.4, 0.5), (0.6, 0.5))
+
+
+# n = 3 starts for the batched-against-scalar check; the square's third point
+# lies within one cell of the edge, so its cell has outside corners
+BATCH_STARTS = {
+    "square_grid": [(0.3, 0.4), (0.62, 0.55), (0.003, 0.52)],
+    "cardioid_integral": [(0.45, 0.5), (0.3, 0.6), (0.36, 0.4)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_STARTS))
+def test_batched_matches_scalar_pair_by_pair(name, request):
+    """One batched call over all sources against one scalar call per pair."""
+    ev = request.getfixturevalue(name)
+    z = np.array(BATCH_STARTS[name])
+    grad_h, grad_G = ev.grad_h_and_G(z)
+    h, G = ev.h_and_G(z)
+    for i, x in enumerate(z):
+        assert abs(h[i] - ev.h(x)) <= 1e-12
+        assert np.max(np.abs(grad_h[i] - ev.grad_h(x))) <= 1e-12
+        for j, y in enumerate(z):
+            if i == j:
+                continue
+            w = x - y
+            # G mirrors its upper triangle: G[i, j] holds k(z_min, z_max)
+            k = ev.k(x, y) if i < j else ev.k(y, x)
+            assert abs(G[i, j] - (k - math.log(np.hypot(*w)) / TWO_PI)) <= 1e-12
+            grad = ev.grad_x_k(x, y) - w / (TWO_PI * (w @ w))
+            assert np.max(np.abs(grad_G[i, j] - grad)) <= 1e-12
+
+
+class TestNystromSolve:
+    # on the 128-node unit disk, the source (0, 0) has boundary data g = 0,
+    # so its column's residual bound is 1e-10; the source near the boundary
+    # has max|g| = 0.59 and a bound of 1.59e-10
+    STARTS = [(0.999, 0.0), (0.0, 0.0)]
+
+    @staticmethod
+    def corrupt(monkeypatch, column, amount):
+        """Solve through LAPACK, then add to one column the density whose
+        residual is `amount` at the first node."""
+        def corrupted(lu, piv, b):
+            x, info = dgetrs(lu, piv, b)
+            e = np.zeros((len(b), 1))
+            e[0] = amount
+            x[:, column] += dgetrs(lu, piv, e)[0][:, 0]
+            return x, info
+
+        monkeypatch.setattr(kernels_numeric, "dgetrs", corrupted)
+
+    def test_corrupted_column_diverges(self, disk_128, monkeypatch):
+        self.corrupt(monkeypatch, 1, 1e-3)
+        with pytest.raises(SolverDivergence, match="residual 0.001"):
+            disk_128.h_and_G(self.STARTS)
+
+    def test_each_column_checked_against_its_own_data(self, disk_128, monkeypatch):
+        # 1.3e-10 is within the near-boundary column's own bound, not
+        # within the centre column's: a pooled max|g| would let both pass
+        self.corrupt(monkeypatch, 0, 1.3e-10)
+        disk_128.h_and_G(self.STARTS)
+        self.corrupt(monkeypatch, 1, 1.3e-10)
+        with pytest.raises(SolverDivergence, match="residual"):
+            disk_128.h_and_G(self.STARTS)
+
+    def test_factors_checked_at_construction(self, disk, monkeypatch):
+        def nan_factor(m):
+            return np.full_like(m, math.nan), np.arange(len(m), dtype=np.int32)
+
+        monkeypatch.setattr(kernels_numeric.sla, "lu_factor", nan_factor)
+        with pytest.raises(SolverDivergence, match="not finite"):
+            NystromKernels(disk, NumericKernelConfig(boundary_nodes=64))
 
 
 class TestHNumeric:
