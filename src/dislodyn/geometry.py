@@ -19,6 +19,14 @@ polygon test containment with one even-odd ray cast against a closed
 polyline; the polygon projects points onto all its edges in one (m, E)
 pass; and ``min_separation``, ``in_class_D`` and ``in_class_C`` take their
 distances to the event set from one function.
+
+The smooth curve's nearest point costs a few curve evaluations: an argmin
+over its samples, then safeguarded Newton steps on the parameter, the first
+from derivatives cached at the samples.  Its ``signed_distance`` takes the
+sign from the outward normal there, and casts a ray only where the normal
+cannot decide: at a cusp, at an ambiguous or unconverged probe, and within
+the sag band, the distance within which the sample polyline and the curve
+may put a point on different sides.
 """
 
 from __future__ import annotations
@@ -28,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import NoBoundary, ParameterOrder
 
@@ -49,6 +56,13 @@ __all__ = [
 ]
 
 _VERTEX_TOL = 1e-9
+# Newton refinement on a smooth curve: at most _NEWTON_ITERATIONS curve
+# evaluations, converged once the residual is within _ROUNDING of the size
+# of its terms, and the normal decides the side only where x - gamma(theta)
+# is normal to the curve within _NORMAL_TOL (relative)
+_NEWTON_ITERATIONS = 60
+_ROUNDING = 8.0 * np.finfo(float).eps
+_NORMAL_TOL = 1e-6
 
 
 def _as_point(x) -> np.ndarray:
@@ -73,6 +87,25 @@ def _odd_crossings(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
             xs = vx + (py - vy) * (wx - vx) / (wy - vy)
         out[s:s + 512] = np.sum(cond & (xs > px), axis=1) % 2 == 1
     return out
+
+
+def _pair(x, y) -> np.ndarray:
+    """``np.stack([x, y], axis=-1)`` without its per-call overhead, which
+    the one-parameter evaluations of a boundary probe would pay."""
+    out = np.empty(np.shape(x) + (2,))
+    out[..., 0] = x
+    out[..., 1] = y
+    return out
+
+
+def _frame(d: np.ndarray, dd: np.ndarray):
+    """Unit tangent, outward normal, signed curvature and speed of a CCW
+    curve from its (m, 2) first and second derivatives."""
+    speed = np.hypot(d[:, 0], d[:, 1])
+    tangent = d / speed[:, None]
+    normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
+    kappa = (d[:, 0] * dd[:, 1] - d[:, 1] * dd[:, 0]) / speed**3
+    return tangent, normal, kappa, speed
 
 
 @dataclass(frozen=True)
@@ -256,9 +289,21 @@ class Plane(Domain):
 class SmoothCurveDomain(Domain):
     """Interior of a simple closed C^2 curve given parametrically.
 
-    The curve must be traversed counterclockwise on [0, 2*pi).  Nearest-point
-    queries use a dense sample (``n_samples`` nodes) followed by local
-    refinement of theta; containment uses the winding polyline.
+    The curve must be traversed counterclockwise on [0, 2*pi).  A nearest-point
+    query starts at the nearest of ``n_samples`` nodes and refines theta by
+    safeguarded Newton steps on (gamma(theta) - x) . gamma'(theta) = 0: each
+    step stays inside the bracket of the node's two neighbours, which the
+    sign of that residual shrinks, and the bracket is bisected wherever the
+    step would leave it or the squared distance is not convex.  Containment
+    is an even-odd ray cast against the sample polyline.
+
+    ``signed_distance`` takes its sign from the outward normal at the nearest
+    point, and falls back to the ray cast wherever the normal cannot decide:
+    where Newton did not converge to a minimum, at an ambiguous probe, at zero
+    speed (a cusp), where x - gamma(theta) is not normal to the curve, and
+    within the sag band, twice the largest gap between the curve and its
+    polyline, where the two may put a point on different sides.  So
+    ``signed_distance(x) > 0`` is exactly ``contains(x)``.
     """
 
     def __init__(
@@ -275,19 +320,36 @@ class SmoothCurveDomain(Domain):
         self.second_derivative = second_derivative
         self.name = name
         self._theta = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
+        self._step = 2.0 * np.pi / n_samples
+        pts, d, dd = self._jet(self._theta)
         # a cusp node has zero speed and no frame; its curvature is dropped
         with np.errstate(divide="ignore", invalid="ignore"):
-            pts, _, _, kappa, _ = self.curve_frame(self._theta)
+            kappa = _frame(d, dd)[2]
         self._pts = pts
+        # contiguous coordinates for the nearest-sample search, and the jet
+        # (x, y, x', y', x'', y'') of every node, where Newton starts
+        self._xs = np.ascontiguousarray(pts[:, 0])
+        self._ys = np.ascontiguousarray(pts[:, 1])
+        self._jets = np.hstack([pts, d, dd])
         w = np.roll(pts, -1, axis=0)
         self._edges = np.stack([pts, w], axis=1)
         area2 = np.sum(pts[:, 0] * w[:, 1] - w[:, 0] * pts[:, 1])
         if area2 <= 0:
             raise ValueError("curve must be simple, closed and counterclockwise")
+        # the sag band: beyond twice the curve's largest gap from its
+        # polyline (taken at the mid-parameters, where a smooth arc's gap
+        # peaks), the ray cast and the curve put a point on the same side
+        gap = (np.asarray(position(self._theta + 0.5 * self._step), float)
+               - 0.5 * (pts + w))
+        self._sag = 2.0 * float(np.hypot(gap[:, 0], gap[:, 1]).max())
         kappa = kappa[np.isfinite(kappa)]
         kmax = float(np.max(np.abs(kappa))) if kappa.size else 0.0
         self._rho = float(rho) if rho is not None else (
             1.0 / kmax if kmax > 0 else math.inf)
+        # nodes more than 4 indices from node 0 around the circle; the
+        # ambiguity scan reads it at index offsets from the nearest node
+        offset = np.arange(n_samples)
+        self._far = np.minimum(offset, n_samples - offset) > 4
         # largest pairwise distance, 256 rows at a time: the whole matrix
         # takes over 100 MB at the cardioid's 2048 samples
         x, y = self._pts[:, :1], self._pts[:, 1:]
@@ -303,20 +365,23 @@ class SmoothCurveDomain(Domain):
     def disk_radius(self) -> float:
         return self._rho
 
-    def curve_frame(self, theta):
-        """Point, unit tangent, outward normal, curvature and speed at theta."""
-        th = np.atleast_1d(np.asarray(theta, float))
-        p, d, dd = (np.asarray(f(th), float) for f in
+    def _jet(self, th: np.ndarray):
+        """Position, first and second derivative at the parameters ``th``,
+        each (len(th), 2)."""
+        jet = tuple(np.asarray(f(th), float) for f in
                     (self.position, self.derivative, self.second_derivative))
-        for a in (p, d, dd):
+        for a in jet:
             if a.shape != (len(th), 2):
                 raise ValueError(f"the parametrization returned shape {a.shape} "
                                  f"for {len(th)} parameters; expected "
                                  f"({len(th)}, 2)")
-        speed = np.hypot(d[:, 0], d[:, 1])
-        tangent = d / speed[:, None]
-        normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
-        kappa = (d[:, 0] * dd[:, 1] - d[:, 1] * dd[:, 0]) / speed**3
+        return jet
+
+    def curve_frame(self, theta):
+        """Point, unit tangent, outward normal, curvature and speed at theta."""
+        th = np.atleast_1d(np.asarray(theta, float))
+        p, d, dd = self._jet(th)
+        tangent, normal, kappa, speed = _frame(d, dd)
         if np.isscalar(theta) or np.asarray(theta).ndim == 0:
             return p[0], tangent[0], normal[0], float(kappa[0]), float(speed[0])
         return p, tangent, normal, kappa, speed
@@ -333,40 +398,87 @@ class SmoothCurveDomain(Domain):
                               self._edges)
 
     def signed_distance(self, x) -> float:
-        d = self.probe(x).distance
-        return d if self.contains(x) else -d
-
-    def _nearest(self, p: np.ndarray):
-        """Squared distances to the samples, the nearest sample's index, and
-        the parameter of the nearest boundary point refined around it."""
-        d2 = np.sum((self._pts - p) ** 2, axis=1)
-        k = int(np.argmin(d2))
-        step = 2.0 * np.pi / len(self._theta)
-
-        def f(th):
-            q = np.asarray(self.position(np.atleast_1d(th)), float).reshape(-1, 2)[0]
-            return (q[0] - p[0]) ** 2 + (q[1] - p[1]) ** 2
-
-        res = minimize_scalar(f, bounds=(self._theta[k] - step,
-                                         self._theta[k] + step),
-                              method="bounded",
-                              options={"xatol": 1e-14 * max(1.0, self._diam)})
-        return d2, k, float(res.x) % (2.0 * np.pi)
+        p = _as_point(x)
+        probe, side = self._probe(p)
+        if side == 0.0:
+            side = 1.0 if _odd_crossings(p[None], self._edges)[0] else -1.0
+        return side * probe.distance
 
     def probe(self, x) -> BoundaryProbe:
-        p = _as_point(x)
-        d2, k, theta = self._nearest(p)
-        q, _, normal, kappa, _ = self.curve_frame(theta)
-        dist = float(np.linalg.norm(q - p))
+        return self._probe(_as_point(x))[0]
+
+    def _nearest(self, x: float, y: float):
+        """Squared distances from (x, y) to the samples, the nearest sample's
+        index, the parameter theta of the nearest boundary point, its jet,
+        and whether Newton converged there to a minimum of the distance."""
+        d2 = (self._xs - x) ** 2 + (self._ys - y) ** 2
+        k = int(np.argmin(d2))
+        t = float(self._theta[k])
+        lo, hi = t - self._step, t + self._step
+        jet = self._jets[k].tolist()
+        for _ in range(_NEWTON_ITERATIONS):
+            qx, qy, dx, dy, ddx, ddy = jet
+            rx, ry = qx - x, qy - y
+            # half the first and second derivatives of |gamma(t) - (x, y)|^2
+            g = rx * dx + ry * dy
+            h = dx * dx + dy * dy + rx * ddx + ry * ddy
+            # converged once g is down to the rounding error of its terms
+            if h > 0.0 and abs(g) <= _ROUNDING * ((abs(qx) + abs(qy) + abs(x) + abs(y))
+                                                 * (abs(dx) + abs(dy))):
+                return d2, k, t, jet, True
+            if g > 0.0:
+                hi = t
+            elif g < 0.0 or h <= 0.0:
+                # at g == 0 this is a maximum or a flat point, and either
+                # side holds a minimum
+                lo = t
+            if h > 0.0:
+                t_new = t - g / h
+                if lo < t_new < hi:
+                    t = t_new
+                    jet = self._jet_at(t)
+                    continue
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            t = mid
+            jet = self._jet_at(t)
+        return d2, k, t, jet, False
+
+    def _jet_at(self, t: float) -> list[float]:
+        """The jet (x, y, x', y', x'', y'') at one parameter, as floats."""
+        return [v for a in self._jet(np.array((t,))) for v in a[0].tolist()]
+
+    def _probe(self, p: np.ndarray):
+        """The probe of ``p`` and its side of the curve: +1 inside, -1
+        outside, 0 where the normal cannot decide."""
+        x, y = float(p[0]), float(p[1])
+        d2, k, _, (qx, qy, dx, dy, ddx, ddy), converged = self._nearest(x, y)
+        # the frame of one point in floats, as _frame computes it for arrays
+        # at a tenth of the cost; at zero speed (a cusp) the tangent is its
+        # limit from above, along the second derivative
+        speed = math.hypot(dx, dy)
+        if speed > 0.0:
+            tx, ty = dx / speed, dy / speed
+            kappa = (dx * ddy - dy * ddx) / speed**3
+        else:
+            s = math.hypot(ddx, ddy)
+            tx, ty = ddx / s, ddy / s
+            kappa = math.nan
+        rx, ry = x - qx, y - qy
+        dist = math.hypot(rx, ry)
         # ambiguity: another local minimum matching the global one
         ambiguous = False
         if dist >= self._rho * (1.0 - 1e-9):
-            best = d2[k]
-            away = np.abs((np.arange(len(d2)) - k + len(d2) // 2) % len(d2)
-                          - len(d2) // 2) > 4
-            if np.any(d2[away] - best < 1e-9 * max(1.0, self._diam) ** 2):
-                ambiguous = True
-        return BoundaryProbe(dist, q, normal, float(kappa), ambiguous=ambiguous)
+            ties = np.flatnonzero(d2 - d2[k] < 1e-9 * max(1.0, self._diam) ** 2)
+            ambiguous = bool(np.any(self._far[(ties - k) % len(d2)]))
+        side = 0.0
+        if (converged and not ambiguous and speed > 0.0 and dist > self._sag
+                and abs(rx * dx + ry * dy) <= _NORMAL_TOL * dist * speed):
+            side = -1.0 if rx * ty - ry * tx > 0.0 else 1.0
+        probe = BoundaryProbe(dist, np.array([qx, qy]), np.array([ty, -tx]), kappa,
+                              ambiguous=ambiguous)
+        return probe, side
 
     @classmethod
     def circle(cls, radius: float = 1.0, center=(0.0, 0.0),
@@ -374,13 +486,13 @@ class SmoothCurveDomain(Domain):
         cx, cy = center
 
         def pos(t):
-            return np.stack([cx + radius * np.cos(t), cy + radius * np.sin(t)], axis=-1)
+            return _pair(cx + radius * np.cos(t), cy + radius * np.sin(t))
 
         def dpos(t):
-            return np.stack([-radius * np.sin(t), radius * np.cos(t)], axis=-1)
+            return _pair(-radius * np.sin(t), radius * np.cos(t))
 
         def ddpos(t):
-            return np.stack([-radius * np.cos(t), -radius * np.sin(t)], axis=-1)
+            return _pair(-radius * np.cos(t), -radius * np.sin(t))
 
         return cls(pos, dpos, ddpos, rho=radius, n_samples=n_samples, name="circle")
 
@@ -417,15 +529,15 @@ class SmoothCurveDomain(Domain):
 
         def pos(t):
             t = wrap(t)
-            return np.stack([sx(t), sy(t)], axis=-1)
+            return _pair(sx(t), sy(t))
 
         def dpos(t):
             t = wrap(t)
-            return np.stack([sx(t, 1), sy(t, 1)], axis=-1)
+            return _pair(sx(t, 1), sy(t, 1))
 
         def ddpos(t):
             t = wrap(t)
-            return np.stack([sx(t, 2), sy(t, 2)], axis=-1)
+            return _pair(sx(t, 2), sy(t, 2))
 
         return cls(pos, dpos, ddpos, rho=rho, n_samples=max(1024, 2 * len(rows)),
                    name="table")
@@ -441,7 +553,9 @@ def cardioid_domain(a: float = _CARDIOID_A, offset: tuple[float, float] | None =
 
     The default ``a`` makes the bounding box fit the unit square; ``offset``
     defaults to centering that box at (0.5, 0.5).  The curve has a single
-    cusp at theta = 0; probes and quadrature avoid the cusp node itself.
+    cusp at theta = 0.  A probe whose nearest point is the cusp gets the
+    normal's limit from theta > 0 and NaN curvature, and its side comes from
+    the ray cast; the quadrature avoids the cusp node itself.
     """
     if offset is None:
         # bounding box in x is [-4a, a/2]; centre it at 0.5
@@ -449,18 +563,18 @@ def cardioid_domain(a: float = _CARDIOID_A, offset: tuple[float, float] | None =
     ox, oy = offset
 
     def pos(t):
-        c = np.cos(t)
-        return np.stack([2 * a * (1 - c) * np.cos(t) + ox,
-                         2 * a * (1 - c) * np.sin(t) + oy], axis=-1)
+        c, s = np.cos(t), np.sin(t)
+        r = 2 * a * (1 - c)
+        return _pair(r * c + ox, r * s + oy)
 
     def dpos(t):
         # d/dt [2a(1-cos)cos, 2a(1-cos)sin] = 2a(sin 2t - sin t, cos t - cos 2t)
-        return np.stack([2 * a * (np.sin(2 * t) - np.sin(t)),
-                         2 * a * (np.cos(t) - np.cos(2 * t))], axis=-1)
+        return _pair(2 * a * (np.sin(2 * t) - np.sin(t)),
+                     2 * a * (np.cos(t) - np.cos(2 * t)))
 
     def ddpos(t):
-        return np.stack([2 * a * (2 * np.cos(2 * t) - np.cos(t)),
-                         2 * a * (2 * np.sin(2 * t) - np.sin(t))], axis=-1)
+        return _pair(2 * a * (2 * np.cos(2 * t) - np.cos(t)),
+                     2 * a * (2 * np.sin(2 * t) - np.sin(t)))
 
     return SmoothCurveDomain(pos, dpos, ddpos, n_samples=n_samples, name="cardioid")
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dislodyn.errors import NoBoundary, ParameterOrder
-from dislodyn.geometry import (AxisAlignedPolygon, Configuration, Disk,
+from dislodyn.geometry import (_CARDIOID_A, AxisAlignedPolygon, Configuration, Disk,
                                Dislocation, ExteriorDisk, HalfPlane, Plane,
                                SmoothCurveDomain, cardioid_domain,
                                in_class_C, in_class_D, min_separation)
@@ -144,6 +145,126 @@ class TestSmoothCurve:
     def test_curvature_sign_circle(self):
         circ = SmoothCurveDomain.circle(radius=2.0)
         assert circ.probe((1.0, 0.0)).curvature == pytest.approx(0.5, abs=1e-9)
+
+
+def trefoil_table(m=400):
+    """Sample rows of the non-convex curve r = 1 + 0.3 cos 3t for
+    ``SmoothCurveDomain.from_table``."""
+    t = np.linspace(0, 2 * np.pi, m, endpoint=False)
+    r, dr, ddr = 1 + 0.3 * np.cos(3 * t), -0.9 * np.sin(3 * t), -2.7 * np.cos(3 * t)
+    c, s = np.cos(t), np.sin(t)
+    return np.stack([t, r * c, r * s, dr * c - r * s, dr * s + r * c,
+                     ddr * c - 2 * dr * s - r * c, ddr * s + 2 * dr * c - r * s],
+                    axis=1)
+
+
+def widened_box_points(dom, count, seed):
+    lo, hi = dom._pts.min(axis=0) - 0.05, dom._pts.max(axis=0) + 0.05
+    return np.random.default_rng(seed).uniform(lo, hi, (count, 2))
+
+
+CURVES = {"cardioid": cardioid_domain,
+          "table": lambda: SmoothCurveDomain.from_table(trefoil_table())}
+
+
+class TestCurveNewton:
+    """The safeguarded Newton refinement of the nearest boundary point."""
+
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_tangential_residual_at_rounding_level(self, name):
+        dom = CURVES[name]()
+        worst = 0.0
+        for x, y in widened_box_points(dom, 3000, 3000):
+            _, _, theta, _, converged = dom._nearest(x, y)
+            assert converged
+            th = np.array([theta])
+            q, d = dom.position(th)[0], dom.derivative(th)[0]
+            worst = max(worst, abs((q - (x, y)) @ d))
+        assert worst < 1e-14 * dom.diameter ** 2
+
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_distance_matches_dense_search(self, name):
+        dom = CURVES[name]()
+        pts = widened_box_points(dom, 3000, 3000)
+        dense = dom.position(np.linspace(0, 2 * np.pi, 2 ** 16, endpoint=False))
+        spacing = np.hypot(*np.diff(dense, axis=0, append=dense[:1]).T).max()
+        for p in pts:
+            d = dom.probe(p).distance
+            brute = math.sqrt(np.min((dense[:, 0] - p[0]) ** 2
+                                     + (dense[:, 1] - p[1]) ** 2))
+            # no dense sample is nearer, and the dense search overshoots by
+            # at most its resolution
+            assert -1e-15 <= brute - d <= spacing ** 2 / max(d, spacing)
+
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_sign_is_the_ray_cast(self, name):
+        dom = CURVES[name]()
+        pts = widened_box_points(dom, 3000, 3000)
+        sd = np.array([dom.signed_distance(p) for p in pts])
+        assert ((sd > 0) == dom.contains_many(pts)).all()
+        # most signs come from the normal, not from the ray cast
+        assert sum(dom._probe(p)[1] != 0.0 for p in pts[:300]) > 250
+
+    def test_circle_matches_disk(self):
+        circ = SmoothCurveDomain.circle(radius=1.3, center=(0.2, -0.1))
+        disk = Disk(center=(0.2, -0.1), radius=1.3)
+        pts = widened_box_points(circ, 3000, 3000)
+        sd = np.array([circ.signed_distance(p) for p in pts])
+        assert ((sd > 0) == circ.contains_many(pts)).all()
+        for p, s in zip(pts, sd):
+            a, b = circ.probe(p), disk.probe(p)
+            assert abs(s) == a.distance
+            assert abs(a.distance - b.distance) < 1e-12
+            assert np.abs(a.point - b.point).max() < 1e-12
+            assert np.abs(a.normal - b.normal).max() < 1e-9
+
+    def test_curve_evaluations_per_query(self, cardioid, monkeypatch):
+        calls = []
+        position = cardioid.position
+
+        def counted(t):
+            calls.append(len(t))
+            return position(t)
+
+        monkeypatch.setattr(cardioid, "position", counted)
+        per_query = []
+        for p in widened_box_points(cardioid, 300, 7):
+            calls.clear()
+            cardioid.signed_distance(p)
+            per_query.append(len(calls))
+        assert np.mean(per_query) <= 4 and max(per_query) <= 6
+
+    def test_cusp(self, cardioid):
+        cusp = cardioid.position(np.zeros(1))[0]
+        a = _CARDIOID_A
+        points = [cusp]
+        for eps in (1e-12, 1e-9, 1e-6, 1e-3):
+            # on the symmetry axis, just inside and just outside
+            points += [cusp - (eps, 0.0), cusp + (eps, 0.0)]
+        for r in (1e-6, 1e-3, 0.05):
+            # inside, with the cusp as nearest boundary point
+            for ang in (0.6 * np.pi, np.pi, 1.4 * np.pi):
+                points.append(cusp + r * np.array([np.cos(ang), np.sin(ang)]))
+        inside = cardioid.contains_many(np.array(points))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p, c in zip(points, inside):
+                probe, side = cardioid._probe(p)
+                assert np.isfinite(probe.normal).all()
+                assert np.linalg.norm(probe.normal) == pytest.approx(1.0)
+                assert (cardioid.signed_distance(p) > 0) == c
+                assert cardioid.contains(p) == c
+                if probe.point.tolist() == cusp.tolist():
+                    # zero speed: the ray cast decides, and the curvature
+                    # is undefined
+                    assert side == 0.0
+                    assert not math.isfinite(probe.curvature)
+                    assert probe.distance == pytest.approx(
+                        np.linalg.norm(p - cusp), abs=1e-15)
+        assert inside[1::2][:4].all() and not inside[2::2][:4].any()
+        # the branches sit a * (x / a)^(3/2) off the axis
+        assert cardioid.probe(cusp + (1e-3, 0.0)).distance == pytest.approx(
+            a * (1e-3 / a) ** 1.5, rel=1e-2)
 
 
 class TestPolygon:

@@ -183,6 +183,19 @@ class TestGridRows:
             checked += 1
         assert outside_corner >= 5
 
+    def test_cardioid_dirichlet_points_on_the_curve(self, cardioid):
+        # every outside node takes its boundary value at its nearest point
+        ev = GridKernels(cardioid, NumericKernelConfig(grid_spacing=1 / 64))
+        a, c = _CARDIOID_A, cardioid.position(np.zeros(1))[0]
+        nodes = np.stack(np.meshgrid(ev.xs, ev.ys, indexing="ij"), axis=-1)
+        for p, q in zip(nodes[~ev.inside], ev.proj[~ev.inside]):
+            # the polar form r = 2a (1 - cos theta) about the cusp, times r
+            u = q - c
+            r = math.hypot(u[0], u[1])
+            assert abs(r * r - 2 * a * (r - u[0])) <= 1e-15
+            d = cardioid.derivative(np.array([math.atan2(u[1], u[0])]))[0]
+            assert abs((q - p) @ d) <= 1e-12
+
     def test_one_target_solves_at_most_four_rows(self, square, rng):
         ev = GridKernels(square, NumericKernelConfig(grid_spacing=1 / 16))
         ev._lu = CountingLU(ev._lu)
