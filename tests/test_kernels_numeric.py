@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dgetrs
 from scipy.optimize import brentq
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu, spsolve
 
 from dislodyn import kernels_numeric
 from dislodyn.cli import main
 from dislodyn.errors import PointOutside, SolverDivergence
 from dislodyn.geometry import (_CARDIOID_A, AxisAlignedPolygon, Disk,
-                               ExteriorDisk, HalfPlane)
+                               ExteriorDisk, HalfPlane, cardioid_domain)
 from dislodyn.kernels_analytic import (DiskKernels, ExteriorDiskKernels,
                                        HalfPlaneKernels, PlaneKernels)
 from dislodyn.kernels_numeric import (GridKernels, NumericKernelConfig,
@@ -160,6 +161,69 @@ class CountingLU:
 class GarbageLU:
     def solve(self, rhs, trans="N"):
         return np.ones_like(rhs)
+
+
+def loop_assembly(ev):
+    """The 5-point matrix and the boundary couplings (rows, points,
+    coefficients) assembled node by node, neighbours in the order +x, -x,
+    +y, -y, kept as the reference for the array assembly.  The node sets
+    and the Dirichlet points are rebuilt from the domain."""
+    nx, ny = len(ev.xs), len(ev.ys)
+    inside = np.array([[ev.domain.contains((x, y)) for y in ev.ys] for x in ev.xs])
+    idx = -np.ones((nx, ny), dtype=int)
+    idx[inside] = np.arange(inside.sum())
+    proj = np.zeros((nx, ny, 2))
+    for i, j in zip(*np.nonzero(~inside)):
+        proj[i, j] = ev.domain.probe((ev.xs[i], ev.ys[j])).point
+    rows, cols, vals = [], [], []
+    b_rows, b_points, b_coefs = [], [], []
+    inv_hx2, inv_hy2 = 1.0 / ev.hx**2, 1.0 / ev.hy**2
+    for r, (i, j) in enumerate(zip(*np.nonzero(inside))):
+        rows.append(r)
+        cols.append(r)
+        vals.append(2.0 * inv_hx2 + 2.0 * inv_hy2)
+        for di, dj, coef in ((1, 0, inv_hx2), (-1, 0, inv_hx2),
+                             (0, 1, inv_hy2), (0, -1, inv_hy2)):
+            a, b = i + di, j + dj
+            if 0 <= a < nx and 0 <= b < ny and inside[a, b]:
+                rows.append(r)
+                cols.append(idx[a, b])
+                vals.append(-coef)
+            else:
+                b_rows.append(r)
+                b_points.append(proj[min(max(a, 0), nx - 1), min(max(b, 0), ny - 1)])
+                b_coefs.append(coef)
+    n = int(inside.sum())
+    matrix = csc_matrix((vals, (rows, cols)), shape=(n, n))
+    return (inside, idx, proj, matrix, np.asarray(b_rows, dtype=int),
+            np.array(b_points), np.array(b_coefs))
+
+
+ASSEMBLY_GRIDS = {
+    "square": (AxisAlignedPolygon.square(), 1 / 16),
+    "rectangle": (AxisAlignedPolygon([(0, 0), (1, 0), (1, 0.8), (0, 0.8)]), 0.07),
+    "L": (AxisAlignedPolygon([(0, 0), (1, 0), (1, 0.5), (0.5, 0.5), (0.5, 1),
+                              (0, 1)]), 1 / 32),
+    "disk": (Disk(), 1 / 32),
+    "cardioid": (cardioid_domain(), 1 / 64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASSEMBLY_GRIDS))
+def test_grid_assembly_matches_node_loop(name):
+    domain, spacing = ASSEMBLY_GRIDS[name]
+    ev = GridKernels(domain, NumericKernelConfig(grid_spacing=spacing))
+    if name == "rectangle":
+        assert ev.hx != ev.hy
+    inside, idx, proj, matrix, b_rows, b_points, b_coefs = loop_assembly(ev)
+    for got, want in ((ev.inside, inside), (ev._interior_index, idx),
+                      (ev.proj, proj), (ev._matrix.indptr, matrix.indptr),
+                      (ev._matrix.indices, matrix.indices),
+                      (ev._matrix.data, matrix.data), (ev._b_rows, b_rows),
+                      (ev._b_points, b_points), (ev._b_coefs, b_coefs)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert ev._rows_cap == 32 * len(ev.xs) * len(ev.ys) // len(b_rows)
 
 
 class TestGridRows:
