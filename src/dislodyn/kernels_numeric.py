@@ -7,10 +7,13 @@ regular part k(., y):
   smooth parametric curve (trapezoid rule in the parameter, curvature
   diagonal limit) or on a polygon (per-edge panels clustered toward the
   corners, where the self-interaction of a straight edge vanishes exactly).
-  The dense system matrix is LU-factorized once per domain and its factors
-  checked for finiteness there, once; the sources of a call share one
-  back-substitution, one column each, and each column is checked against
-  its own boundary data.
+  The dense system matrix M is LU-factorized once per domain (row k of
+  L U is row perm[k] of M) and only the factors are kept.  They are
+  checked there, once: finite, and E = ||M[perm] - L U||_inf <= 1e-10.
+  The sources of a call share one back-substitution, one column each, and
+  each column is checked against its own boundary data through the same
+  factors, max|L U mu - g[perm]| + E max|mu| <= 1e-10 (1 + max|g|), whose
+  left side bounds max|M mu - g|.
 * ``grid`` -- 5-point finite differences on a uniform grid over the
   bounding box with Dirichlet data transplanted from the nearest boundary
   point; the sparse matrix is symmetric and is factorized once under a
@@ -45,6 +48,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dtrmm, dtrmv
 from scipy.linalg.lapack import dgetrs
 
 from .errors import PointOutside, SolverDivergence
@@ -138,8 +142,48 @@ def _polygon_panels(poly: AxisAlignedPolygon, n_nodes: int):
             np.concatenate(weights))
 
 
+def _checked_lu(m: np.ndarray):
+    """The LU factors (lu, piv) of m, read-only; the row order perm, row k
+    of L U being row perm[k] of m; and E = ||m[perm] - L U||_inf, measured
+    from L U a block of columns at a time.  The factors never change, so
+    they are checked here once, not on every solve: refused unless finite
+    (any NaN or inf makes their sum non-finite) and unless E <= 1e-10."""
+    lu, piv = sla.lu_factor(m)
+    if not math.isfinite(lu.sum()):
+        raise SolverDivergence("boundary-integral LU factors are not finite")
+    perm = list(range(len(m)))
+    for k, j in enumerate(piv.tolist()):
+        perm[k], perm[j] = perm[j], perm[k]
+    perm = np.array(perm)
+    rows = np.zeros(len(m))
+    for c in range(0, len(m), 128):
+        u = np.triu(lu[:, c:c + 128], -c)  # columns c.. of U
+        rows += np.abs(m[perm, c:c + 128]
+                       - dtrmm(1.0, lu, u, lower=1, diag=1)).sum(axis=1)
+    error = float(rows.max())
+    if not error <= 1e-10:
+        raise SolverDivergence(
+            f"boundary-integral LU factor check failed: "
+            f"||M[perm] - L U||_inf = {error:g} exceeds 1e-10")
+    lu.setflags(write=False)
+    piv.setflags(write=False)
+    return (lu, piv), perm, error
+
+
 class NystromKernels(_NumericBase):
-    """Double-layer potential backend for smooth curves, disks and polygons."""
+    """Double-layer potential backend for smooth curves, disks and polygons.
+
+    The system matrix M is LU-factorized once; row k of L U is row perm[k]
+    of M, and M itself is not kept.  As
+    M mu - g = P [(L U mu - g[perm]) + (M[perm] - L U) mu], each density
+    column j is checked by
+
+        max|L U mu_j - g_j[perm]| + E max|mu_j| <= 1e-10 (1 + max|g_j|),
+
+    whose left side bounds max|M mu_j - g_j|.  L U mu reads the factors that
+    the back-substitution has just read, and E = ||M[perm] - L U||_inf is
+    measured once, when the evaluator is built.
+    """
 
     backend = "integral"
 
@@ -166,23 +210,24 @@ class NystromKernels(_NumericBase):
         else:
             raise ValueError(f"integral backend cannot handle {type(domain).__name__}")
 
-        dx = self.nodes[:, 0][:, None] - self.nodes[:, 0][None, :]
-        dy = self.nodes[:, 1][:, None] - self.nodes[:, 1][None, :]
+        # the system matrix M, assembled in place; only its factors are kept
+        x, y = self.nodes[:, 0], self.nodes[:, 1]
+        dx = x[:, None] - x[None, :]
+        dy = y[:, None] - y[None, :]
         r2 = dx * dx + dy * dy
         np.fill_diagonal(r2, 1.0)
-        kern = (dx * self.normals[:, 0][None, :] + dy * self.normals[:, 1][None, :])
-        kern = kern / (_TWO_PI * r2) * self.weights[None, :]
+        r2 *= _TWO_PI
+        m = dx * self.normals[:, 0] + dy * self.normals[:, 1]
+        del dx, dy
+        m /= r2
+        del r2
+        m *= self.weights
         if isinstance(domain, AxisAlignedPolygon):
-            np.fill_diagonal(kern, 0.0)
+            np.fill_diagonal(m, 0.0)
         else:
-            np.fill_diagonal(kern, -kappa * self.weights / (2.0 * _TWO_PI))
-        m = kern - 0.5 * np.eye(len(self.nodes))
-        self._matrix = m
-        self._lu = sla.lu_factor(m)
-        # the factors never change: check them here once, not on every
-        # solve; any NaN or inf in them makes their sum non-finite
-        if not math.isfinite(self._lu[0].sum()):
-            raise SolverDivergence("boundary-integral LU factors are not finite")
+            np.fill_diagonal(m, -kappa * self.weights / (2.0 * _TWO_PI))
+        m[np.diag_indices_from(m)] -= 0.5
+        self._lu, self._perm, self._factor_error = _checked_lu(m)
         self.resolution = _TWO_PI * domain.diameter / n
         self.min_eval_distance = self.resolution
 
@@ -193,12 +238,26 @@ class NystromKernels(_NumericBase):
         # LAPACK's getrs itself: lu_solve's argument handling added half
         # again to a one-column solve
         mu, _ = dgetrs(*self._lu, g)
-        resid = np.max(np.abs(self._matrix @ mu - g), axis=0)
+        resid = self._residual_bound(mu, g)
         ok = resid <= 1e-10 * (1.0 + np.max(np.abs(g), axis=0))
         if not ok.all():
+            j = np.argmin(ok)
             raise SolverDivergence(
-                f"boundary-integral solve residual {resid[np.argmin(ok)]:g}")
+                f"boundary-integral solve residual {resid[j]:g} "
+                f"for source {_point(sources[j])}")
         return mu
+
+    def _residual_bound(self, mu: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """max|L U mu_j - g_j[perm]| + E max|mu_j| per column j, at least
+        max|M mu_j - g_j|, read from the factors alone."""
+        lu = self._lu[0]
+        # two triangular matrix-vector products per column, upper then
+        # unit lower
+        lu_mu = np.column_stack(
+            [dtrmv(lu, dtrmv(lu, col), lower=1, diag=1, overwrite_x=1)
+             for col in mu.T])
+        lu_mu -= g.take(self._perm, axis=0)
+        return abs(lu_mu).max(axis=0) + self._factor_error * abs(mu).max(axis=0)
 
     def _near(self, points: np.ndarray):
         """x - y_j and |x - y_j|^2 per target and node, and each target's

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.linalg.lapack import dgetrs
 from scipy.optimize import brentq
 from scipy.sparse import csc_matrix
@@ -365,6 +366,122 @@ class TestNystromSolve:
         monkeypatch.setattr(kernels_numeric.sla, "lu_factor", nan_factor)
         with pytest.raises(SolverDivergence, match="not finite"):
             NystromKernels(disk, NumericKernelConfig(boundary_nodes=64))
+
+
+def nystrom_matrix(ev, kappa):
+    """The Nystrom system matrix from its definition, one row at a time:
+    w_j (x_i - x_j).nu_j / (2 pi |x_i - x_j|^2) off the diagonal and
+    -kappa_i w_i / (4 pi) - 1/2 on it."""
+    x, nu, w = ev.nodes, ev.normals, ev.weights
+    m = np.empty((len(x), len(x)))
+    for i in range(len(x)):
+        r = x[i] - x
+        r2 = np.einsum("ij,ij->i", r, r)
+        r2[i] = 1.0
+        m[i] = w * np.einsum("ij,ij->i", r, nu) / (TWO_PI * r2)
+        m[i, i] = -kappa[i] * w[i] / (2.0 * TWO_PI) - 0.5
+    return m
+
+
+def residual_check_data(ev, kappa, count, seed):
+    """For `count` random interior sources: the boundary data g, the
+    densities, the check's value per source and the residual
+    max|M mu - g| per source, in extended precision against the matrix
+    assembled from its definition."""
+    rng = np.random.default_rng(seed)
+    sources = []
+    while len(sources) < count:
+        q = rng.uniform(ev.nodes.min(axis=0), ev.nodes.max(axis=0))
+        if ev.domain.contains(q):
+            sources.append(q)
+    sources = np.array(sources)
+    g = np.log(np.hypot(ev.nodes[:, :1] - sources[:, 0],
+                        ev.nodes[:, 1:] - sources[:, 1])) / TWO_PI
+    mu = ev._solve(sources)
+    m = nystrom_matrix(ev, kappa).astype(np.longdouble)
+    true = np.max(np.abs(m @ mu.astype(np.longdouble) - g), axis=0)
+    return g, mu, ev._residual_bound(mu, g), true.astype(float)
+
+
+def assert_columns_checked_alone(ev, mu, g, bound):
+    """The check of one or two columns, as a one- or two-source call makes
+    it, gives those columns' values in the 50-column check."""
+    for p in (1, 2):
+        np.testing.assert_array_equal(
+            ev._residual_bound(mu[:, :p], g[:, :p]), bound[:p])
+
+
+NYSTROM_CHECKS = {
+    "disk_128": (lambda ev: np.ones(128), 1),
+    "square_integral": (lambda ev: np.zeros(len(ev.nodes)), 2),
+    "cardioid_integral": (lambda ev: ev.domain.curve_frame(
+        TWO_PI * (np.arange(512) + 0.5) / 512)[3], 3),
+    "cardioid_1024": (lambda ev: ev.domain.curve_frame(
+        TWO_PI * (np.arange(1024) + 0.5) / 1024)[3], 4),
+}
+
+
+class TestNystromFactorCheck:
+    """Each density is checked through the LU factors, which are measured
+    against M once, when the evaluator is built."""
+
+    @pytest.fixture(scope="class")
+    def cardioid_1024(self, cardioid):
+        return NystromKernels(cardioid, NumericKernelConfig(boundary_nodes=1024))
+
+    @pytest.mark.parametrize("name", sorted(NYSTROM_CHECKS))
+    def test_check_bounds_the_residual(self, name, request):
+        ev = request.getfixturevalue(name)
+        kappa, seed = NYSTROM_CHECKS[name]
+        g, mu, bound, true = residual_check_data(ev, kappa(ev), 50, seed)
+        scale = 1.0 + np.max(np.abs(g), axis=0)
+        # the residual is at rounding level: the check bounds it up to two
+        # ulps of the data, and stays below 1e-2 of the threshold 1e-10 scale
+        assert np.all(bound + 2.0 * np.finfo(float).eps * scale >= true)
+        assert np.all(bound <= 1e-12 * scale)
+        assert_columns_checked_alone(ev, mu, g, bound)
+
+    @staticmethod
+    def perturbed_factor(monkeypatch, amount):
+        lu_factor = sla.lu_factor
+
+        def perturbed(m):
+            lu, piv = lu_factor(m)
+            lu[0, 5] += amount
+            return lu, piv
+
+        monkeypatch.setattr(kernels_numeric.sla, "lu_factor", perturbed)
+
+    def test_inexact_factor_refused(self, disk, monkeypatch):
+        self.perturbed_factor(monkeypatch, 1e-8)
+        with pytest.raises(SolverDivergence, match="factor check"):
+            NystromKernels(disk, NumericKernelConfig(boundary_nodes=128))
+
+    def test_factor_error_carried_into_the_check(self, disk, monkeypatch):
+        # a factor 1e-11 off M passes at construction; the densities then
+        # solve L U mu = g[perm] and miss M mu = g by about 1e-11 |mu|,
+        # which only the E max|mu| term of the check accounts for
+        self.perturbed_factor(monkeypatch, 1e-11)
+        ev = NystromKernels(disk, NumericKernelConfig(boundary_nodes=128))
+        assert ev._factor_error == pytest.approx(1e-11, rel=1e-3)
+        g, mu, bound, true = residual_check_data(ev, np.ones(128), 50, 5)
+        assert true.max() > 1e3 * np.finfo(float).eps
+        assert np.all(bound >= true)
+        assert np.all(bound - ev._factor_error * np.max(np.abs(mu), axis=0) < true)
+        assert_columns_checked_alone(ev, mu, g, bound)
+
+    def test_factors_read_only_and_matrix_not_kept(self, disk_128):
+        lu, piv = disk_128._lu
+        assert not lu.flags.writeable and not piv.flags.writeable
+        with pytest.raises(ValueError):
+            lu[0, 0] = 0.0
+        assert not hasattr(disk_128, "_matrix")
+
+    def test_divergence_names_the_source(self, disk_128, monkeypatch):
+        TestNystromSolve.corrupt(monkeypatch, 1, 1e-3)
+        with pytest.raises(SolverDivergence,
+                           match=r"residual 0\.001 for source \(0\.0, 0\.0\)"):
+            disk_128.h_and_G(TestNystromSolve.STARTS)
 
 
 class TestHNumeric:
