@@ -51,6 +51,8 @@ class TestSimulate:
             side = json.load(fh)
         assert side["termination"]["kind"] == "boundary"
         assert side["params"]["eps_stop"] > 0
+        assert side["stats"]["eps_stop"] == side["params"]["eps_stop"]
+        assert side["stats"]["eps_stop_raised"] is False
 
     def test_disk_center_stays_put(self, tmp_path, capsys):
         cfgp = write_config(tmp_path, "sim.json", {

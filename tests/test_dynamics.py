@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from dislodyn.geometry import Configuration, HalfPlane, Plane
 from dislodyn.kernels_analytic import analytic_kernels
+from dislodyn.oracles import disk_single
 from dislodyn.mechanics import GlideSet, energy_from_arrays, mobility_glide
 from dislodyn.dynamics import (BoundaryCollision, HorizonReached,
                                IntegrationParams, PairCollision,
@@ -40,6 +42,22 @@ class TestHalfPlaneSingle:
         y_mid = traj.positions_at(T / 2)[0, 1]
         assert y_mid == pytest.approx(math.sqrt(0.005), abs=1e-6)
         assert abs(traj.states[:, 0, 0]).max() < 1e-14  # purely vertical
+
+    def test_positions_at_stored_times(self):
+        dom = HalfPlane.upper()
+        traj = integrate(cfg([(0.0, 0.1)], [1]), dom, analytic_kernels(dom))
+        for t, z in zip(traj.times, traj.states):
+            assert np.max(np.abs(traj.positions_at(t) - z)) <= 1e-12
+
+    @pytest.mark.parametrize("where", ["before", "after", "nan"])
+    def test_positions_at_refuses_outside_range(self, where):
+        dom = HalfPlane.upper()
+        traj = integrate(cfg([(0.0, 0.1)], [1]), dom, analytic_kernels(dom))
+        t = {"before": -1e-9, "after": traj.times[-1] * (1 + 1e-9),
+             "nan": math.nan}[where]
+        span = f"[{float(traj.times[0])!r}, {float(traj.times[-1])!r}]"
+        with pytest.raises(ValueError, match=re.escape(span)):
+            traj.positions_at(t)
 
     def test_correction_is_exact_here(self):
         # the leading-order boundary law is exact in the half plane, so the
@@ -98,6 +116,42 @@ class TestEventHandling:
     def test_times_strictly_increasing(self, disk, disk_kernels):
         traj = integrate(cfg([(0.8, 0)], [1]), disk, disk_kernels)
         assert np.all(np.diff(traj.times) > 0)
+
+
+class TestRescaledTime:
+    @pytest.mark.parametrize("delta,nfev_in_t", [(0.05, 296), (0.2, 410),
+                                                 (0.5, 488)])
+    def test_disk_single_accuracy_and_cost(self, disk, disk_kernels, delta,
+                                           nfev_in_t):
+        # nfev_in_t: what RK45 spent integrating in physical time, where its
+        # error was 2.2e-7, 1.1e-7 and 4.3e-8
+        traj = integrate(cfg([(1.0 - delta, 0.0)], [1]), disk, disk_kernels)
+        assert traj.termination.kind == "boundary"
+        assert traj.termination.corrected_time == pytest.approx(
+            disk_single(delta).collision_time, rel=1e-7)
+        assert traj.stats["nfev"] <= nfev_in_t // 2
+
+    def test_rest_state_keeps_physical_time(self, disk, disk_kernels):
+        # v = 0 gives g = 1, so s = t along the whole run
+        traj = integrate(cfg([(0.0, 0.0)], [1]), disk, disk_kernels,
+                         params=IntegrationParams(t_max=2.0))
+        assert traj.interpolant.ts == pytest.approx(traj.times, rel=1e-14)
+        assert traj.times[-1] == pytest.approx(2.0, rel=1e-14)
+
+
+class TestEpsStop:
+    def test_closed_form_keeps_requested_eps(self, disk, disk_kernels):
+        traj = integrate(cfg([(0.8, 0)], [1]), disk, disk_kernels,
+                         params=IntegrationParams(eps_stop=1e-3))
+        assert traj.stats["eps_stop"] == traj.eps_stop == 1e-3
+        assert traj.stats["eps_stop_raised"] is False
+
+    def test_grid_raises_eps_to_its_margin(self, square, square_grid):
+        traj = integrate(cfg([(0.5, 0.4)], [1]), square, square_grid,
+                         params=IntegrationParams(t_max=1e-3))
+        assert traj.stats["eps_stop"] == traj.eps_stop == \
+            square_grid.min_eval_distance > 1e-4 * square.diameter
+        assert traj.stats["eps_stop_raised"] is True
 
 
 class TestEnergyMonotone:
@@ -159,11 +213,15 @@ class TestNumericalContracts:
                          params=IntegrationParams(max_steps=2))
         assert traj.termination.kind == "failure"
 
-    @pytest.mark.parametrize("max_steps,n_samples", [(1, 1), (2, 2), (5, 4)])
-    def test_step_budget_keeps_progress(self, disk, disk_kernels, max_steps,
-                                        n_samples):
+    @pytest.mark.parametrize("max_steps", [1, 2, 5])
+    def test_step_budget_keeps_progress(self, disk, disk_kernels, max_steps):
         traj = integrate(cfg([(0.8, 0)], [1]), disk, disk_kernels,
                          params=IntegrationParams(max_steps=max_steps))
+        # the budget is 7 * max_steps evaluations: RK45 spends 2 choosing its
+        # first step and 6 on each step after, and no step of this run is
+        # rejected, so it keeps every step that the budget pays for
+        n_samples = 1 + (7 * max_steps - 2) // 6
+        assert n_samples - 1 <= max_steps
         assert traj.termination.reason == "step budget exceeded"
         assert traj.stats["n_samples"] == len(traj.times) == n_samples
         assert traj.stats["accepted_steps"] == n_samples - 1
